@@ -499,15 +499,19 @@ class _DeadlineReaper:
     the future first wins; the loser is a silent no-op, so double
     enforcement with the batcher and the pool is harmless.
 
-    Entries for futures that resolve normally linger in the heap until
-    their deadline passes and are then discarded, so memory is bounded
-    by the number of requests submitted within one deadline window.
+    A watch is forgotten the moment its future resolves: the heap holds
+    only ``(deadline, seq)`` keys, the futures live in a ``seq`` map that
+    a done-callback clears, and the heap is compacted once its dead keys
+    outnumber the live ones.  Memory is therefore proportional to the
+    in-flight deadlined requests, not to the requests submitted within
+    one deadline window.
     """
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
-        self._heap: list[tuple[float, int, Future]] = []
-        self._seq = itertools.count()  # heap tie-break; futures don't order
+        self._heap: list[tuple[float, int]] = []
+        self._watched: dict[int, Future] = {}
+        self._seq = itertools.count()
         self._closed = False
         self._thread = threading.Thread(
             target=self._run, name="repro-deadline-reaper", daemon=True
@@ -519,10 +523,26 @@ class _DeadlineReaper:
         with self._cond:
             if self._closed:
                 return
+            seq = next(self._seq)
+            self._watched[seq] = future
             earliest = self._heap[0][0] if self._heap else None
-            heapq.heappush(self._heap, (deadline, next(self._seq), future))
+            heapq.heappush(self._heap, (deadline, seq))
             if earliest is None or deadline < earliest:
                 self._cond.notify()  # re-arm the sleep to the new earliest
+        # Outside the lock: an already-resolved future runs the callback
+        # right here, on this thread.
+        future.add_done_callback(lambda _: self._forget(seq))
+
+    def _forget(self, seq: int) -> None:
+        """Done-callback: drop a resolved future; compact dead keys."""
+        with self._cond:
+            if self._watched.pop(seq, None) is None:
+                return
+            if len(self._heap) > 2 * len(self._watched):
+                self._heap = [
+                    key for key in self._heap if key[1] in self._watched
+                ]
+                heapq.heapify(self._heap)
 
     def close(self) -> None:
         """Stop the thread; pending watches are dropped, not failed."""
@@ -540,9 +560,14 @@ class _DeadlineReaper:
                 if self._closed:
                     return
                 now = time.perf_counter()
-                while self._heap and self._heap[0][0] <= now:
-                    _, _, future = heapq.heappop(self._heap)
-                    if not future.done():
+                while self._heap:
+                    deadline, seq = self._heap[0]
+                    if seq in self._watched and deadline > now:
+                        break
+                    # Due, or dead: its future resolved and was forgotten.
+                    heapq.heappop(self._heap)
+                    future = self._watched.pop(seq, None)
+                    if future is not None:
                         due.append(future)
                 if not due:
                     timeout = (

@@ -98,6 +98,18 @@ def _shard_error(position: int, error: BaseException) -> Exception:
     return wrapped
 
 
+def _member_batch(server, queries, k: int, deadline: float | None):
+    """One member's explicit batch under the coordinator's deadline."""
+    if deadline is None:
+        return server.query_batch(queries, k)
+    remaining_ms = (deadline - time.perf_counter()) * 1e3
+    if remaining_ms <= 0.0:
+        raise DeadlineExceeded(
+            "request deadline passed before the shard batch started"
+        )
+    return server.query_batch(queries, k, deadline_ms=remaining_ms)
+
+
 class _ShardMember:
     """One shard: its global ids plus R replica servers and their load."""
 
@@ -429,16 +441,34 @@ class ShardedIndexServer:
         """Blocking single-query convenience around :meth:`submit`."""
         return self.submit(query, k=k, deadline_ms=deadline_ms).result()
 
-    def query_batch(self, queries, k: int = 1) -> BatchKnnResult:
+    def query_batch(
+        self, queries, k: int = 1, *, deadline_ms: float | None = None
+    ) -> BatchKnnResult:
         """One explicit batch, scattered whole to every shard and merged.
 
         Like :meth:`IndexServer.query_batch`, explicit batches bypass
-        the micro-batchers, coordinator admission, and deadlines; the
-        per-shard calls run concurrently on the scatter pool.
+        the micro-batchers and coordinator admission but honor the same
+        deadline contract: ``deadline_ms`` (falling back to
+        ``default_deadline_ms``) is fixed once here, and each member
+        batch carries the budget remaining when it starts.  A blown
+        deadline raises :class:`DeadlineExceeded`, counted once in the
+        coordinator ledger.  The per-shard calls run concurrently on
+        the scatter pool.
         """
         self._require_open()
         array = validate_queries(queries, self.dimensionality)
         k = validate_k(k, self.n_points)
+        if deadline_ms is None:
+            deadline_ms = self.default_deadline_ms
+        if deadline_ms is not None and deadline_ms <= 0:
+            raise ValueError(
+                f"deadline_ms must be positive or None, got {deadline_ms}"
+            )
+        deadline = (
+            time.perf_counter() + deadline_ms / 1e3
+            if deadline_ms is not None
+            else None
+        )
         picks = []
         futures = []
         for member in self._shards:
@@ -446,7 +476,11 @@ class ShardedIndexServer:
             picks.append((member, replica_index))
             futures.append(
                 self._scatter_pool.submit(
-                    server.query_batch, array, min(k, member.n_points)
+                    _member_batch,
+                    server,
+                    array,
+                    min(k, member.n_points),
+                    deadline,
                 )
             )
         batches = []
@@ -460,7 +494,10 @@ class ShardedIndexServer:
             finally:
                 self._release_replica(member, replica_index)
         if failure is not None:
-            raise _shard_error(*failure)
+            error = _shard_error(*failure)
+            if isinstance(error, DeadlineExceeded):
+                self._stats.record_deadline_exceeded()
+            raise error
         # Batch-shape and scan accounting happens at the members (and is
         # summed back by stats()); recording the merged batch here too
         # would double-count the same work.

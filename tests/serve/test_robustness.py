@@ -7,7 +7,12 @@ bit-identical to sequential ``index.query``.  Degradation sheds or
 fails loudly; it never answers approximately.
 """
 
+import gc
+import sys
+import threading
 import time
+import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from repro.serve import (
     ServerOverloaded,
     ServingError,
 )
+from repro.serve.server import _DeadlineReaper
 
 _FAST = BatchPolicy(max_batch=4, max_wait_ms=1.0)
 
@@ -255,6 +261,111 @@ class TestDeadlines:
                 server.query(np.zeros(4), k=1)
             report = server.stats()
         assert report.n_deadline_exceeded == 1
+
+    @pytest.mark.parametrize("n_workers", [0, 1])
+    def test_answered_requests_are_not_retained(
+        self, snapshot, rng, n_workers
+    ):
+        # The deadline outlives the test, so only forgetting each watch
+        # when its future resolves can free the answered requests.
+        queries = rng.normal(size=(200, 4))
+        with IndexServer(
+            snapshot, n_workers=n_workers, policy=_FAST
+        ) as server:
+            futures = [
+                server.submit(q, k=2, deadline_ms=60_000) for q in queries
+            ]
+            for future in futures:
+                future.result(timeout=30)
+            refs = [weakref.ref(future) for future in futures]
+            del futures, future
+            # The flusher thread still names its latest batch until it
+            # flushes the next one.
+            server.query(queries[0], k=2)
+            gc.collect()
+            alive = sum(ref() is not None for ref in refs)
+        assert alive == 0
+
+    def test_releases_member_at_its_deadline_after_compactions(
+        self, index, snapshot, rng
+    ):
+        # Hundreds of resolved 60 s watches compact the reaper's heap
+        # several times before a 100 ms watch rides a batch slowed to
+        # 1.5 s; the reaper must still release it at its own deadline,
+        # and its deadline-free neighbour must get the exact answer.
+        warm = rng.normal(size=(300, 4))
+        n_warm_batches = len(warm) // 2
+        loader = FaultyLoader(
+            FaultPlan(delay_on=((n_warm_batches + 1, 1.5),))
+        )
+        policy = BatchPolicy(max_batch=2, max_wait_ms=10_000.0)
+        q_free, q_bound = rng.normal(size=(2, 4))
+        with IndexServer(
+            snapshot, n_workers=1, policy=policy, index_loader=loader
+        ) as server:
+            for first, second in zip(warm[::2], warm[1::2]):
+                pair = [
+                    server.submit(q, k=2, deadline_ms=60_000)
+                    for q in (first, second)
+                ]
+                for future in pair:
+                    future.result(timeout=30)
+            free = server.submit(q_free, k=2)
+            started = time.perf_counter()
+            bound = server.submit(q_bound, k=2, deadline_ms=100)
+            with pytest.raises(DeadlineExceeded):
+                bound.result(timeout=30)
+            waited = time.perf_counter() - started
+            answer = free.result(timeout=30)
+            report = server.stats()
+        assert waited < 1.0  # released at the deadline, not at delivery
+        expected = index.query(q_free, k=2)
+        assert tuple(answer.indices.tolist()) == tuple(
+            expected.indices.tolist()
+        )
+        assert tuple(answer.distances.tolist()) == tuple(
+            expected.distances.tolist()
+        )
+        assert report.n_deadline_exceeded == 1
+        assert report.n_requests == len(warm) + 1
+
+    def test_compaction_keeps_watches_still_pending(self):
+        # Four threads answer 60 s watches, each forgotten at once, so
+        # the heap is compacted every few answers while five short
+        # watches are still pending.  Each of those must still fail when
+        # it falls due, and no answered watch may stay behind.
+        reaper = _DeadlineReaper()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.perf_counter()
+            pending = [Future() for _ in range(5)]
+            for i, future in enumerate(pending):
+                reaper.watch(future, started + 0.2 + 0.05 * i)
+            refs = []
+
+            def answer():
+                for _ in range(200):
+                    answered = Future()
+                    reaper.watch(answered, started + 60.0)
+                    answered.set_result(None)
+                    refs.append(weakref.ref(answered))
+
+            threads = [threading.Thread(target=answer) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            for future in pending:
+                with pytest.raises(DeadlineExceeded):
+                    future.result(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+            reaper.close()
+        gc.collect()
+        assert len(refs) == 800
+        assert all(ref() is None for ref in refs)
 
 
 class TestChaos:

@@ -1,6 +1,8 @@
 """ShardedIndexServer: identity, routing, failure policy, admission."""
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -163,6 +165,51 @@ class TestDeadlines:
         with ShardedIndexServer(manifest, n_workers=0) as server:
             with pytest.raises(ValueError, match="deadline_ms"):
                 server.submit(corpus[0], k=1, deadline_ms=0.0)
+
+    def test_answered_requests_are_not_retained(self, corpus, manifest):
+        # The deadline outlives the test, so only forgetting each watch
+        # when its future resolves can free the answered requests.
+        with ShardedIndexServer(manifest, n_workers=0, policy=_FAST) as server:
+            futures = [
+                server.submit(row, k=3, deadline_ms=60_000) for row in corpus
+            ]
+            for future in futures:
+                future.result(timeout=30)
+            refs = [weakref.ref(future) for future in futures]
+            del futures, future
+            # Each member's flusher thread still names its latest batch
+            # until it flushes the next one.
+            server.query(corpus[0], k=3)
+            gc.collect()
+            alive = sum(ref() is not None for ref in refs)
+        assert alive == 0
+
+    def test_explicit_batch_honors_deadline(self, corpus, manifest):
+        """query_batch carries the same deadline contract as query."""
+        reference = BruteForceIndex(corpus)
+        queries = corpus[:4] + 0.1
+        with ShardedIndexServer(manifest, n_workers=0) as server:
+            # A generous deadline answers normally ...
+            batch = server.query_batch(queries, k=2, deadline_ms=60_000)
+            expected = reference.query_batch(queries, k=2)
+            assert batch.indices.tolist() == expected.indices.tolist()
+            assert batch.distances.tolist() == expected.distances.tolist()
+            # ... an impossible one raises instead of answering late and
+            # is counted once in the coordinator ledger.
+            with pytest.raises(DeadlineExceeded):
+                server.query_batch(queries, k=2, deadline_ms=1e-6)
+            assert server.stats().n_deadline_exceeded == 1
+            # Invalid deadlines are rejected like submit rejects them.
+            with pytest.raises(ValueError, match="deadline_ms"):
+                server.query_batch(queries, k=2, deadline_ms=0)
+
+    def test_explicit_batch_applies_default_deadline(self, corpus, manifest):
+        with ShardedIndexServer(
+            manifest, n_workers=0, default_deadline_ms=1e-6
+        ) as server:
+            with pytest.raises(DeadlineExceeded):
+                server.query_batch(corpus[:4], k=2)
+            assert server.stats().n_deadline_exceeded == 1
 
 
 class TestCoordinatorAdmission:
