@@ -7,8 +7,8 @@ top-k is bit-identical to the unsharded index, including distance-tie
 ordering.  This bench measures the 1 -> 8 shard scaling curve on one
 corpus and asserts the identity on **every** run:
 
-* ``shards=1`` — the coordinator degenerates to a single member server
-  (the overhead-of-the-coordinator control row).
+* ``shards=1`` — the fan-out degenerates to a single shard (the
+  overhead-of-the-fan-out control row).
 * ``shards=2,4,8`` (round-robin) — the scaling curve proper.
 * ``shards=4`` (projected) — the same corpus partitioned by
   PROCLUS-style projected clusters instead of row interleaving, showing

@@ -348,10 +348,10 @@ def _command_serve_bench_mutate(args) -> int:
             "error: --insert-fraction + --delete-fraction must lie in "
             f"[0, 1], got {args.insert_fraction} + {args.delete_fraction}"
         )
-    if args.shards > 1 or args.replicas > 1:
+    if args.shards > 1:
         raise SystemExit(
             "error: --mutate measures the single mutable server; "
-            "it does not combine with --shards/--replicas"
+            "it does not combine with --shards"
         )
     wal_sync = args.wal_sync if args.wal_sync is not None else "always"
     rng = np.random.default_rng(args.seed)
@@ -421,25 +421,14 @@ def _command_serve_bench(args) -> int:
         raise SystemExit(
             f"error: --shards must be positive, got {args.shards}"
         )
-    if args.replicas < 1:
-        raise SystemExit(
-            f"error: --replicas must be positive, got {args.replicas}"
-        )
-    sharded = args.shards > 1 or args.replicas > 1
+    sharded = args.shards > 1
     try:
-        if sharded:
-            # Admission is bounded once, at the coordinator — the member
-            # batchers run unbounded so a burst is shed once, not S times.
-            policy = BatchPolicy(
-                max_batch=args.max_batch, max_wait_ms=args.max_wait_ms
-            )
-        else:
-            policy = BatchPolicy(
-                max_batch=args.max_batch,
-                max_wait_ms=args.max_wait_ms,
-                max_pending=args.max_pending,
-                shed_policy=args.shed_policy,
-            )
+        policy = BatchPolicy(
+            max_batch=args.max_batch,
+            max_wait_ms=args.max_wait_ms,
+            max_pending=args.max_pending,
+            shed_policy=args.shed_policy,
+        )
     except ValueError as error:
         raise SystemExit(f"error: {error}") from None
     if args.deadline_ms is not None and args.deadline_ms <= 0:
@@ -470,10 +459,7 @@ def _command_serve_bench(args) -> int:
                 queries,
                 args.k,
                 n_workers=args.workers,
-                replicas=args.replicas,
                 policy=policy,
-                max_pending=args.max_pending,
-                shed_policy=args.shed_policy,
                 cache_capacity=args.cache_size,
                 deadline_ms=args.deadline_ms,
                 heartbeat_timeout=heartbeat,
@@ -506,10 +492,7 @@ def _command_serve_bench(args) -> int:
                    f"max_wait_ms={args.max_wait_ms}"),
     ]
     if sharded:
-        rows.append(
-            ("shards x replicas",
-             f"{args.shards} x {args.replicas} ({args.shard_method})")
-        )
+        rows.append(("shards", f"{args.shards} ({args.shard_method})"))
     rows += [
         ("closed-loop throughput",
          f"{comparison.closed_loop_qps:.0f} q/s"),
@@ -712,9 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="serve through S shard snapshots via the "
                                   "scatter-gather coordinator (1 = the "
                                   "unsharded server)")
-    serve_bench.add_argument("--replicas", type=int, default=1,
-                             help="replica servers per shard "
-                                  "(least-loaded routing)")
     serve_bench.add_argument("--shard-method", default="round-robin",
                              choices=["round-robin", "projected"],
                              help="corpus-to-shard assignment "

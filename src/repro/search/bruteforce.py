@@ -231,8 +231,3 @@ class BruteForceIndex:
         )
         stats = QueryStats(points_scanned=self.n_points)
         return KnnResult(neighbors=neighbors, stats=stats)
-
-
-# Deprecated alias of ``BruteForceIndex.kind``; kept one release for
-# external callers that imported the module constant.
-_SNAPSHOT_KIND = BruteForceIndex.kind

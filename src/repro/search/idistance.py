@@ -221,8 +221,3 @@ class IDistanceIndex:
         :meth:`query`.  ``n_workers`` > 1 fans the rows out over a
         thread pool (ring expansion does not vectorize)."""
         return dispatch_query_batch(self, queries, k, n_workers)
-
-
-# Deprecated alias of ``IDistanceIndex.kind``; kept one release for
-# external callers that imported the module constant.
-_SNAPSHOT_KIND = IDistanceIndex.kind

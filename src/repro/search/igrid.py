@@ -272,8 +272,3 @@ class IGridIndex:
         bit-identical to looping :meth:`query`.  ``n_workers`` > 1 fans
         the rows out over a thread pool."""
         return dispatch_query_batch(self, queries, k, n_workers)
-
-
-# Deprecated alias of ``IGridIndex.kind``; kept one release for
-# external callers that imported the module constant.
-_SNAPSHOT_KIND = IGridIndex.kind

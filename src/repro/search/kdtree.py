@@ -373,8 +373,3 @@ class KdTreeIndex:
             Neighbor(index=idx, distance=float(np.sqrt(d2))) for d2, idx in found
         )
         return KnnResult(neighbors=neighbors, stats=stats)
-
-
-# Deprecated alias of ``KdTreeIndex.kind``; kept one release for
-# external callers that imported the module constant.
-_SNAPSHOT_KIND = KdTreeIndex.kind

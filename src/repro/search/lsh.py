@@ -643,8 +643,3 @@ class LshIndex:
             self, queries, k=k, n_workers=n_workers, exact=False,
             reference=reference,
         )
-
-
-# Deprecated alias of ``LshIndex.kind``; kept one release for
-# external callers that imported the module constant.
-_SNAPSHOT_KIND = LshIndex.kind

@@ -583,8 +583,3 @@ class ProjectionScreenedIndex:
             self, queries, k=k, n_workers=n_workers, exact=True,
             reference=reference,
         )
-
-
-# Deprecated alias of ``ProjectionScreenedIndex.kind``; kept one release for
-# external callers that imported the module constant.
-_SNAPSHOT_KIND = ProjectionScreenedIndex.kind

@@ -293,8 +293,3 @@ class PyramidIndex:
         :meth:`query`.  ``n_workers`` > 1 fans the rows out over a
         thread pool (radius expansion does not vectorize)."""
         return dispatch_query_batch(self, queries, k, n_workers)
-
-
-# Deprecated alias of ``PyramidIndex.kind``; kept one release for
-# external callers that imported the module constant.
-_SNAPSHOT_KIND = PyramidIndex.kind

@@ -465,8 +465,3 @@ class RTreeIndex:
                     heapq.heappush(
                         frontier, (float(bound), next(counter), 1, int(child))
                     )
-
-
-# Deprecated alias of ``RTreeIndex.kind``; kept one release for
-# external callers that imported the module constant.
-_SNAPSHOT_KIND = RTreeIndex.kind

@@ -402,8 +402,3 @@ class VAFileIndex:
             Neighbor(index=idx, distance=float(np.sqrt(d2))) for d2, idx in found
         )
         return KnnResult(neighbors=neighbors, stats=stats)
-
-
-# Deprecated alias of ``VAFileIndex.kind``; kept one release for
-# external callers that imported the module constant.
-_SNAPSHOT_KIND = VAFileIndex.kind

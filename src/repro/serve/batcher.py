@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +46,7 @@ from repro.serve.errors import (
     DeadlineExceeded,
     ServerClosedError,
     ServerOverloaded,
+    _fail,
 )
 
 _SHED_POLICIES = ("reject-new", "drop-oldest")
@@ -197,7 +198,7 @@ class MicroBatcher:
             if len(group.rows) >= self.policy.max_batch:
                 self._cond.notify()
         if victim is not None:
-            _fail_future(
+            _fail(
                 victim,
                 ServerOverloaded(
                     "shed by drop-oldest admission policy to make room "
@@ -324,7 +325,7 @@ class MicroBatcher:
                     if timeout is None or timeout > 0:
                         self._cond.wait(timeout)
             for future in expired:
-                _fail_future(
+                _fail(
                     future,
                     DeadlineExceeded(
                         "request deadline passed while queued for a batch"
@@ -341,13 +342,5 @@ class MicroBatcher:
             self._flush(np.stack(rows), k, futures, deadlines)
         except Exception as error:  # route to the waiting callers
             for future in futures:
-                _fail_future(future, error)
+                _fail(future, error)
 
-
-def _fail_future(future: Future, error: Exception) -> None:
-    if future.done():
-        return
-    try:
-        future.set_exception(error)
-    except InvalidStateError:  # resolved concurrently
-        pass

@@ -32,6 +32,8 @@ result future is always bit-identical to sequential ``index.query``.
 
 from __future__ import annotations
 
+from concurrent.futures import Future, InvalidStateError
+
 
 class ServingError(RuntimeError):
     """Base class for every typed serving-layer failure."""
@@ -57,3 +59,22 @@ class ShardError(ServingError):
     fan-out cannot deliver its per-shard top-k.  The original shard
     failure is attached as ``__cause__``.
     """
+
+
+# Future resolution shared by every serving layer: a future may already
+# be resolved (cancelled by its caller, or failed by a deadline reaper
+# or a shed), and whoever resolves it first wins; the loser is a no-op.
+
+
+def _complete(future: Future, value) -> None:
+    try:
+        future.set_result(value)
+    except InvalidStateError:
+        pass
+
+
+def _fail(future: Future, error: BaseException) -> None:
+    try:
+        future.set_exception(error)
+    except InvalidStateError:
+        pass

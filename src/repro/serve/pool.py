@@ -60,12 +60,12 @@ import multiprocessing
 import queue as queue_module
 import threading
 import time
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import Future
 
 import numpy as np
 
 from repro.search.snapshot import snapshot_kind
-from repro.serve.errors import DeadlineExceeded, ServingError
+from repro.serve.errors import DeadlineExceeded, ServingError, _complete, _fail
 
 
 class WorkerError(ServingError):
@@ -502,16 +502,3 @@ class WorkerPool:
                     ),
                 )
 
-
-def _complete(future: Future, value) -> None:
-    try:
-        future.set_result(value)
-    except InvalidStateError:  # caller cancelled it meanwhile
-        pass
-
-
-def _fail(future: Future, error: Exception) -> None:
-    try:
-        future.set_exception(error)
-    except InvalidStateError:
-        pass

@@ -1,17 +1,25 @@
 """The serving facade: snapshot in, bit-identical answers out.
 
-:class:`IndexServer` wires the serving layers together:
+One request pipeline serves every read-only deployment:
 
-    snapshot --> [LRU cache] --> micro-batcher --> worker pool
-                                         \\-> in-process index (0 workers)
+    submit --> [LRU cache] --> micro-batcher --\\
+                                                 >--> batch backend
+    query_batch --------------------------------/
+
+A *batch backend* is anything with :meth:`WorkerPool.submit`'s
+signature, ``submit(queries, k, *, deadline) -> Future[BatchKnnResult]``.
+:class:`IndexServer` runs the pipeline over one snapshot, answered by a
+:class:`~repro.serve.pool.WorkerPool` or, with ``n_workers=0``, by the
+in-process index on the batcher thread (no IPC, still micro-batched);
+:class:`~repro.shard.server.ShardedIndexServer` runs the same pipeline
+over a fan-out to every shard.  Either way one batcher, one reaper and
+one ledger serve each request.
 
 ``submit(query, k)`` returns a future for one
 :class:`~repro.search.results.KnnResult`; ``query`` is the blocking
 convenience.  Requests are validated synchronously (bad input raises in
 the caller, exactly like ``index.query``), then either answered from the
-LRU cache or coalesced by the micro-batcher into ``query_batch`` calls
-executed by the worker pool — or in-process when ``n_workers=0``, which
-keeps the micro-batching win without any IPC.
+LRU cache or coalesced by the micro-batcher into one backend batch.
 
 Failure model — every degradation path is loud and typed, and every
 submitted future resolves:
@@ -47,7 +55,7 @@ import heapq
 import itertools
 import threading
 import time
-from concurrent.futures import CancelledError, Future, InvalidStateError
+from concurrent.futures import CancelledError, Future
 
 from repro.search.results import (
     BatchKnnResult,
@@ -67,12 +75,335 @@ from repro.serve.errors import (
     DeadlineExceeded,
     ServerClosedError,
     ServerOverloaded,
+    _complete,
+    _fail,
 )
 from repro.serve.pool import WorkerPool, _load_snapshot_index
 from repro.serve.stats import ServingReport, ServingStats
 
+# How long close() waits for a pool's in-flight batches before failing them.
+_DRAIN_SECONDS = 30.0
 
-class IndexServer:
+
+class _ServingPipeline:
+    """The request path shared by :class:`IndexServer` and the sharded server.
+
+    Validation, the result cache with stampede coalescing, micro-batcher
+    admission, the deadline reaper, the :class:`ServingStats` ledger and
+    the explicit ``query_batch`` live here once.  A subclass supplies
+    ``n_points`` and ``dimensionality`` and calls :meth:`_start` with its
+    batch backend once that is built.
+    """
+
+    def __init__(
+        self,
+        *,
+        policy: BatchPolicy | None,
+        cache_capacity: int,
+        default_deadline_ms: float | None,
+    ) -> None:
+        if cache_capacity < 0:
+            raise ValueError(
+                f"cache_capacity must be non-negative, got {cache_capacity}"
+            )
+        if default_deadline_ms is not None and default_deadline_ms <= 0:
+            raise ValueError(
+                "default_deadline_ms must be positive or None, "
+                f"got {default_deadline_ms}"
+            )
+        self.default_deadline_ms = default_deadline_ms
+        self._policy = policy
+        self._cache = (
+            ResultCache(cache_capacity) if cache_capacity else None
+        )
+        # Stampede coalescing: cache key -> future of the one in-flight
+        # computation for that key.  Concurrent identical misses attach
+        # to it instead of enqueueing duplicate batch rows.
+        self._inflight_lock = threading.Lock()
+        self._inflight_by_key: dict = {}
+        self._stats = ServingStats()
+        self._closed = False
+
+    def _start(self, backend, fingerprint: str, pools: list) -> None:
+        """Attach the batch backend and start the batcher and reaper.
+
+        ``pools`` are the worker pools behind ``backend``: their restart
+        counters join the report, and :meth:`close` drains and closes
+        them.
+        """
+        self._backend = backend
+        self.fingerprint = fingerprint
+        self._pools = pools
+        self._batcher = MicroBatcher(self._flush, self._policy)
+        self._reaper = _DeadlineReaper()
+
+    # -- introspection -------------------------------------------------
+
+    @property
+    def policy(self) -> BatchPolicy:
+        return self._batcher.policy
+
+    def stats(self) -> ServingReport:
+        """Current serving metrics (cache and pool counters merged in)."""
+        counters = (0, 0, 0)
+        if self._cache is not None:
+            c = self._cache.counters
+            counters = (c.hits, c.misses, c.evictions)
+        pool_counters = (
+            sum(pool.n_restarts for pool in self._pools),
+            sum(pool.n_hung_kills for pool in self._pools),
+            sum(pool.n_resubmitted for pool in self._pools),
+        )
+        return self._stats.report(
+            cache_counters=counters, pool_counters=pool_counters
+        )
+
+    def reset_stats(self) -> None:
+        """Restart the metrics clock (cache/pool counters are lifetime)."""
+        self._stats.reset()
+
+    # -- request paths -------------------------------------------------
+
+    def submit(
+        self, query, k: int = 1, *, deadline_ms: float | None = None
+    ) -> Future:
+        """Enqueue one query; the future resolves to its KnnResult.
+
+        Validation happens here, synchronously — malformed queries and
+        out-of-range ``k`` raise ``ValueError`` exactly like
+        ``index.query`` would; a full admission queue raises
+        :class:`~repro.serve.errors.ServerOverloaded` under the
+        ``reject-new`` policy.  ``deadline_ms`` (falling back to the
+        server's ``default_deadline_ms``) bounds the end-to-end wait:
+        past it the future fails with
+        :class:`~repro.serve.errors.DeadlineExceeded` instead of waiting
+        forever.
+        """
+        self._require_open()
+        vector = validate_query(query, self.dimensionality)
+        k = validate_k(k, self.n_points)
+        started = time.perf_counter()
+        deadline = self._deadline(deadline_ms, started)
+        key = None
+        slot = None
+        if self._cache is not None:
+            key = result_cache_key(vector, k, self.fingerprint)
+            hit = self._cache.get(key)
+            if hit is not None:
+                self._stats.record_request(time.perf_counter() - started)
+                future: Future = Future()
+                future.set_result(hit)
+                return future
+            # Stampede coalescing: if an identical request is already in
+            # flight, follow it instead of enqueueing a duplicate batch
+            # row.  The follower mirrors the leader's outcome (result or
+            # typed failure) but keeps its *own* deadline — the reaper
+            # can still release it earlier than the leader resolves.
+            with self._inflight_lock:
+                leader = self._inflight_by_key.get(key)
+                if leader is None:
+                    slot = Future()
+                    self._inflight_by_key[key] = slot
+            if leader is not None:
+                follower: Future = Future()
+                if deadline is not None:
+                    self._reaper.watch(follower, deadline)
+                follower.add_done_callback(
+                    lambda f: self._finish_request(f, None, started)
+                )
+                leader.add_done_callback(
+                    lambda f: _mirror_outcome(f, follower)
+                )
+                return follower
+        try:
+            future = self._batcher.submit(vector, k, deadline=deadline)
+        except ServerOverloaded:
+            self._stats.record_shed()
+            if slot is not None:
+                self._clear_inflight(key)
+                _fail(slot, ServerOverloaded(
+                    "coalesced leader was shed by admission control"
+                ))
+            raise
+        if deadline is not None:
+            # The batcher enforces the deadline while the request is
+            # queued; the reaper enforces it for the rest of its life —
+            # including while a coalesced batch with later- or
+            # no-deadline neighbors is still executing, where no
+            # backend-side batch deadline can act for this member alone.
+            self._reaper.watch(future, deadline)
+        future.add_done_callback(
+            lambda f: self._finish_request(f, key, started)
+        )
+        if slot is not None:
+            # After _finish_request (so the cache put has happened): any
+            # follower that arrives post-resolution hits the cache; the
+            # tiny window between put and de-registration at worst lets
+            # a fresh leader recompute, never answer wrongly.
+            future.add_done_callback(
+                lambda f: self._release_leader(f, key, slot)
+            )
+        return future
+
+    def query(self, query, k: int = 1, *, deadline_ms: float | None = None) -> KnnResult:
+        """Blocking single-query convenience around :meth:`submit`."""
+        return self.submit(query, k=k, deadline_ms=deadline_ms).result()
+
+    def query_batch(
+        self, queries, k: int = 1, *, deadline_ms: float | None = None
+    ) -> BatchKnnResult:
+        """One explicit batch, bypassing the micro-batcher.
+
+        Callers that already hold a batch should not pay the coalescing
+        wait; the batch goes to the backend as one call.  Recorded in
+        the batch histogram but not in the single-request latency
+        percentiles.  Explicit batches bypass admission control, but
+        honor the same deadline contract as :meth:`query`:
+        ``deadline_ms`` (falling back to ``default_deadline_ms``) bounds
+        the whole batch with
+        :class:`~repro.serve.errors.DeadlineExceeded`.  A pooled backend
+        can cut a hung worker loose mid-compute; in-process compute
+        cannot be preempted, so there the deadline is enforced on
+        completion — a blown deadline raises rather than returning an
+        answer the caller declared too late to use.
+        """
+        self._require_open()
+        array = validate_queries(queries, self.dimensionality)
+        k = validate_k(k, self.n_points)
+        deadline = self._deadline(deadline_ms, time.perf_counter())
+        try:
+            batch = self._backend.submit(array, k, deadline=deadline).result()
+            if deadline is not None and time.perf_counter() > deadline:
+                raise DeadlineExceeded(
+                    "explicit batch was answered after its deadline"
+                )
+        except DeadlineExceeded:
+            self._stats.record_deadline_exceeded()
+            raise
+        self._stats.record_batch(len(batch), batch.stats)
+        return batch
+
+    # -- internals -----------------------------------------------------
+
+    def _require_open(self) -> None:
+        if self._closed:
+            raise ServerClosedError("server is closed")
+
+    def _deadline(self, deadline_ms: float | None, now: float) -> float | None:
+        if deadline_ms is None:
+            deadline_ms = self.default_deadline_ms
+        return _deadline_at(deadline_ms, now)
+
+    def _clear_inflight(self, key) -> None:
+        with self._inflight_lock:
+            self._inflight_by_key.pop(key, None)
+
+    def _release_leader(self, future: Future, key, slot: Future) -> None:
+        """Leader done-callback: de-register the key, resolve followers."""
+        self._clear_inflight(key)
+        _mirror_outcome(future, slot)
+
+    def _finish_request(self, future: Future, key, started: float) -> None:
+        """Done-callback: classify the outcome and account it exactly once.
+
+        Guarded by ``future.exception()`` so a failed batch can never
+        raise inside the callback (which ``concurrent.futures`` would
+        swallow into a log line), skip the cache put, *and* vanish from
+        the stats — failures are first-class counted outcomes.  A future
+        the caller cancelled is likewise counted (``n_cancelled``)
+        rather than skipped, so the degradation ledger keeps balancing:
+        every completed submission lands in exactly one column.
+        """
+        latency = time.perf_counter() - started
+        if future.cancelled():
+            self._stats.record_cancelled()
+            return
+        error = future.exception()
+        if error is None:
+            if key is not None:
+                self._cache.put(key, future.result())
+            self._stats.record_request(latency)
+        elif isinstance(error, DeadlineExceeded):
+            self._stats.record_deadline_exceeded()
+        elif isinstance(error, ServerOverloaded):
+            self._stats.record_shed()
+        else:
+            self._stats.record_failure()
+
+    def _flush(self, queries, k: int, futures: list, deadlines: list) -> None:
+        """Micro-batcher flush hook: hand one coalesced batch to the backend.
+
+        Releasing each member at its own deadline is the reaper's job
+        (it watches every deadlined future from ``submit`` onward).  The
+        backend's batch deadline is purely a discard optimisation: it is
+        the latest member deadline, set only when *every* member carries
+        one — by then no caller can use the answer, so the backend may
+        drop the batch.  A mixed batch gets no batch deadline (its
+        deadline-less members still need the answer, and a request must
+        never inherit a neighbor's deadline).  Members are individually
+        re-checked at delivery so a late answer is never delivered as a
+        result.
+        """
+        finite = [d for d in deadlines if d is not None]
+        batch_deadline = (
+            max(finite) if len(finite) == len(deadlines) and finite else None
+        )
+        answer = self._backend.submit(queries, k, deadline=batch_deadline)
+        answer.add_done_callback(
+            lambda f: self._distribute(f, futures, deadlines)
+        )
+
+    def _distribute(self, answer: Future, futures: list, deadlines: list) -> None:
+        error = answer.exception()
+        if error is not None:
+            for future in futures:
+                _fail(future, error)
+            return
+        batch = answer.result()
+        self._stats.record_batch(len(futures), batch.stats)
+        now = time.perf_counter()
+        for future, result, deadline in zip(
+            futures, batch.results, deadlines
+        ):
+            if future.done():
+                continue
+            if deadline is not None and now > deadline:
+                # The answer exists but arrived late.  Deadline
+                # semantics stay strict and uniform: resolve-with-result
+                # happens before the deadline or not at all.
+                _fail(
+                    future,
+                    DeadlineExceeded(
+                        "answer arrived after the request deadline"
+                    ),
+                )
+            else:
+                _complete(future, result)
+
+    # -- lifecycle -----------------------------------------------------
+
+    def close(self) -> None:
+        """Flush pending requests, drain workers, stop everything."""
+        if self._closed:
+            return
+        self._closed = True
+        self._batcher.close()
+        for pool in self._pools:
+            pool.drain(_DRAIN_SECONDS)
+            pool.close()
+        # Last: the reaper must stay alive while draining so deadlined
+        # callers blocked on in-flight batches are still released on
+        # time.  (Leftover futures were failed by the pools above.)
+        self._reaper.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class IndexServer(_ServingPipeline):
     """Serve single-query k-NN traffic from an index snapshot.
 
     Args:
@@ -127,60 +458,27 @@ class IndexServer:
             raise ValueError(
                 f"n_workers must be non-negative, got {n_workers}"
             )
-        if cache_capacity < 0:
-            raise ValueError(
-                f"cache_capacity must be non-negative, got {cache_capacity}"
-            )
-        if default_deadline_ms is not None and default_deadline_ms <= 0:
-            raise ValueError(
-                "default_deadline_ms must be positive or None, "
-                f"got {default_deadline_ms}"
-            )
+        super().__init__(
+            policy=policy,
+            cache_capacity=cache_capacity,
+            default_deadline_ms=default_deadline_ms,
+        )
         self.snapshot_path = snapshot_path
         self.kind = snapshot_kind(snapshot_path)
         self.n_workers = int(n_workers)
-        self.default_deadline_ms = default_deadline_ms
-        # The local copy answers in-process traffic (n_workers=0) and
-        # supplies metadata for request validation; with mmap the corpus
-        # bytes are shared with the workers rather than duplicated.  The
-        # index_loader seam only wraps whatever executes queries, so a
-        # pooled server's metadata copy must not consume the fault plan
-        # (or its one-shot marker claim) that is meant for the workers.
-        loader = (
-            index_loader
-            if index_loader is not None and n_workers == 0
-            else _load_snapshot_index
+        fingerprint = snapshot_fingerprint(snapshot_path)
+        self._local, backend = _snapshot_backend(
+            snapshot_path,
+            n_workers,
+            mmap_points=mmap_points,
+            index_loader=index_loader,
+            start_method=start_method,
+            restart_crashed=restart_crashed,
+            heartbeat_timeout=heartbeat_timeout,
+            max_resubmits=max_resubmits,
         )
-        self._local = loader(snapshot_path, mmap_points)
-        self.fingerprint = snapshot_fingerprint(snapshot_path)
-        self._cache = (
-            ResultCache(cache_capacity) if cache_capacity else None
-        )
-        # Stampede coalescing: cache key -> future of the one in-flight
-        # computation for that key.  Concurrent identical misses attach
-        # to it instead of enqueueing duplicate batch rows.
-        self._inflight_lock = threading.Lock()
-        self._inflight_by_key: dict = {}
-        self._stats = ServingStats()
-        self._pool = (
-            WorkerPool(
-                snapshot_path,
-                n_workers,
-                mmap_points=mmap_points,
-                start_method=start_method,
-                restart_crashed=restart_crashed,
-                heartbeat_timeout=heartbeat_timeout,
-                max_resubmits=max_resubmits,
-                index_loader=index_loader,
-            )
-            if n_workers >= 1
-            else None
-        )
-        self._batcher = MicroBatcher(self._flush, policy)
-        self._reaper = _DeadlineReaper()
-        self._closed = False
-
-    # -- introspection -------------------------------------------------
+        pools = [backend] if isinstance(backend, WorkerPool) else []
+        self._start(backend, fingerprint, pools)
 
     @property
     def n_points(self) -> int:
@@ -190,300 +488,68 @@ class IndexServer:
     def dimensionality(self) -> int:
         return self._local.dimensionality
 
-    @property
-    def policy(self) -> BatchPolicy:
-        return self._batcher.policy
 
-    def stats(self) -> ServingReport:
-        """Current serving metrics (cache and pool counters merged in)."""
-        counters = (0, 0, 0)
-        if self._cache is not None:
-            c = self._cache.counters
-            counters = (c.hits, c.misses, c.evictions)
-        pool_counters = (0, 0, 0)
-        if self._pool is not None:
-            pool_counters = (
-                self._pool.n_restarts,
-                self._pool.n_hung_kills,
-                self._pool.n_resubmitted,
-            )
-        return self._stats.report(
-            cache_counters=counters, pool_counters=pool_counters
+def _deadline_at(deadline_ms: float | None, now: float) -> float | None:
+    """Absolute deadline of a request submitted ``now`` (``None``: none)."""
+    if deadline_ms is None:
+        return None
+    if deadline_ms <= 0:
+        raise ValueError(
+            f"deadline_ms must be positive or None, got {deadline_ms}"
         )
+    return now + deadline_ms / 1e3
 
-    def reset_stats(self) -> None:
-        """Restart the metrics clock (cache/pool counters are lifetime)."""
-        self._stats.reset()
 
-    # -- request paths -------------------------------------------------
+class _InlineIndex:
+    """Batch backend that answers on the calling thread (``n_workers=0``).
 
-    def submit(
-        self, query, k: int = 1, *, deadline_ms: float | None = None
-    ) -> Future:
-        """Enqueue one query; the future resolves to its KnnResult.
+    The returned future is already resolved.  ``deadline`` is accepted
+    for the backend signature only: in-process compute cannot be
+    preempted, so the pipeline enforces deadlines around it.
+    """
 
-        Validation happens here, synchronously — malformed queries and
-        out-of-range ``k`` raise ``ValueError`` exactly like
-        ``index.query`` would; a full admission queue raises
-        :class:`~repro.serve.errors.ServerOverloaded` under the
-        ``reject-new`` policy.  ``deadline_ms`` (falling back to the
-        server's ``default_deadline_ms``) bounds the end-to-end wait:
-        past it the future fails with
-        :class:`~repro.serve.errors.DeadlineExceeded` instead of waiting
-        forever.
-        """
-        self._require_open()
-        vector = validate_query(query, self.dimensionality)
-        k = validate_k(k, self.n_points)
-        if deadline_ms is None:
-            deadline_ms = self.default_deadline_ms
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ValueError(
-                f"deadline_ms must be positive or None, got {deadline_ms}"
-            )
-        started = time.perf_counter()
-        deadline = (
-            started + deadline_ms / 1e3 if deadline_ms is not None else None
-        )
-        key = None
-        slot = None
-        if self._cache is not None:
-            key = result_cache_key(vector, k, self.fingerprint)
-            hit = self._cache.get(key)
-            if hit is not None:
-                self._stats.record_request(time.perf_counter() - started)
-                future: Future = Future()
-                future.set_result(hit)
-                return future
-            # Stampede coalescing: if an identical request is already in
-            # flight, follow it instead of enqueueing a duplicate batch
-            # row.  The follower mirrors the leader's outcome (result or
-            # typed failure) but keeps its *own* deadline — the reaper
-            # can still release it earlier than the leader resolves.
-            with self._inflight_lock:
-                leader = self._inflight_by_key.get(key)
-                if leader is None:
-                    slot = Future()
-                    self._inflight_by_key[key] = slot
-            if leader is not None:
-                follower: Future = Future()
-                if deadline is not None:
-                    self._reaper.watch(follower, deadline)
-                follower.add_done_callback(
-                    lambda f: self._finish_request(f, None, started)
-                )
-                leader.add_done_callback(
-                    lambda f: _mirror_outcome(f, follower)
-                )
-                return follower
+    def __init__(self, index) -> None:
+        self._index = index
+
+    def submit(self, queries, k: int, *, deadline: float | None = None) -> Future:
+        future: Future = Future()
         try:
-            future = self._batcher.submit(vector, k, deadline=deadline)
-        except ServerOverloaded:
-            self._stats.record_shed()
-            if slot is not None:
-                self._clear_inflight(key)
-                _fail(slot, ServerOverloaded(
-                    "coalesced leader was shed by admission control"
-                ))
-            raise
-        if deadline is not None:
-            # The batcher enforces the deadline while the request is
-            # queued; the reaper enforces it for the rest of its life —
-            # including while a coalesced batch with later- or
-            # no-deadline neighbors is still executing, where no
-            # pool-side batch deadline can act for this member alone.
-            self._reaper.watch(future, deadline)
-        future.add_done_callback(
-            lambda f: self._finish_request(f, key, started)
-        )
-        if slot is not None:
-            # After _finish_request (so the cache put has happened): any
-            # follower that arrives post-resolution hits the cache; the
-            # tiny window between put and de-registration at worst lets
-            # a fresh leader recompute, never answer wrongly.
-            future.add_done_callback(
-                lambda f: self._release_leader(f, key, slot)
-            )
+            future.set_result(self._index.query_batch(queries, k=k))
+        except Exception as error:
+            future.set_exception(error)
         return future
 
-    def query(self, query, k: int = 1, *, deadline_ms: float | None = None) -> KnnResult:
-        """Blocking single-query convenience around :meth:`submit`."""
-        return self.submit(query, k=k, deadline_ms=deadline_ms).result()
 
-    def query_batch(
-        self, queries, k: int = 1, *, deadline_ms: float | None = None
-    ) -> BatchKnnResult:
-        """One explicit batch, bypassing the micro-batcher.
+def _snapshot_backend(
+    snapshot_path: str,
+    n_workers: int,
+    *,
+    mmap_points: bool,
+    index_loader,
+    **pool_options,
+):
+    """``(local index, batch backend)`` serving one snapshot.
 
-        Callers that already hold a batch should not pay the coalescing
-        wait; the batch goes to a worker (or the in-process index) as
-        one ``query_batch`` call.  Recorded in the batch histogram but
-        not in the single-request latency percentiles.  Explicit batches
-        bypass admission control, but honor the same deadline contract
-        as :meth:`query`: ``deadline_ms`` (falling back to
-        ``default_deadline_ms``) bounds the whole batch with
-        :class:`~repro.serve.errors.DeadlineExceeded`.  On the pooled
-        path the deadline can cut a hung worker loose mid-compute; the
-        in-process path cannot be preempted, so there it is enforced
-        on completion — a blown deadline raises rather than returning
-        an answer the caller declared too late to use.
-        """
-        self._require_open()
-        array = validate_queries(queries, self.dimensionality)
-        k = validate_k(k, self.n_points)
-        if deadline_ms is None:
-            deadline_ms = self.default_deadline_ms
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ValueError(
-                f"deadline_ms must be positive or None, got {deadline_ms}"
-            )
-        deadline = (
-            time.perf_counter() + deadline_ms / 1e3
-            if deadline_ms is not None
-            else None
-        )
-        if self._pool is None or array.shape[0] == 0:
-            batch = self._local.query_batch(array, k=k)
-            if deadline is not None and time.perf_counter() > deadline:
-                self._stats.record_deadline_exceeded()
-                raise DeadlineExceeded(
-                    f"explicit batch exceeded its {deadline_ms:g} ms "
-                    "deadline (in-process compute cannot be preempted)"
-                )
-        else:
-            try:
-                batch = self._pool.submit(
-                    array, k, deadline=deadline
-                ).result()
-            except DeadlineExceeded:
-                self._stats.record_deadline_exceeded()
-                raise
-        self._stats.record_batch(len(batch), batch.stats)
-        return batch
-
-    # -- internals -----------------------------------------------------
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise ServerClosedError("server is closed")
-
-    def _clear_inflight(self, key) -> None:
-        with self._inflight_lock:
-            self._inflight_by_key.pop(key, None)
-
-    def _release_leader(self, future: Future, key, slot: Future) -> None:
-        """Leader done-callback: de-register the key, resolve followers."""
-        self._clear_inflight(key)
-        _mirror_outcome(future, slot)
-
-    def _finish_request(self, future: Future, key, started: float) -> None:
-        """Done-callback: classify the outcome and account it exactly once.
-
-        Guarded by ``future.exception()`` so a failed batch can never
-        raise inside the callback (which ``concurrent.futures`` would
-        swallow into a log line), skip the cache put, *and* vanish from
-        the stats — failures are first-class counted outcomes.  A future
-        the caller cancelled is likewise counted (``n_cancelled``)
-        rather than skipped, so the degradation ledger keeps balancing:
-        every completed submission lands in exactly one column.
-        """
-        latency = time.perf_counter() - started
-        if future.cancelled():
-            self._stats.record_cancelled()
-            return
-        error = future.exception()
-        if error is None:
-            if key is not None:
-                self._cache.put(key, future.result())
-            self._stats.record_request(latency)
-        elif isinstance(error, DeadlineExceeded):
-            self._stats.record_deadline_exceeded()
-        elif isinstance(error, ServerOverloaded):
-            self._stats.record_shed()
-        else:
-            self._stats.record_failure()
-
-    def _flush(self, queries, k: int, futures: list, deadlines: list) -> None:
-        """Micro-batcher flush hook: run one coalesced batch.
-
-        Releasing each member at its own deadline is the reaper's job
-        (it watches every deadlined future from ``submit`` onward).  The
-        pool-side batch deadline is purely a discard optimisation: it is
-        the latest member deadline, set only when *every* member carries
-        one — by then no caller can use the answer, so the pool may drop
-        the batch and free its bookkeeping.  A mixed batch gets no pool
-        deadline (its deadline-less members still need the answer, and a
-        request must never inherit a neighbor's deadline).  Members are
-        individually re-checked at delivery so a late answer is never
-        delivered as a result.
-        """
-        if self._pool is None:
-            batch = self._local.query_batch(queries, k=k)
-            self._distribute(batch, futures, deadlines)
-            return
-        finite = [d for d in deadlines if d is not None]
-        batch_deadline = (
-            max(finite) if len(finite) == len(deadlines) and finite else None
-        )
-        pooled = self._pool.submit(queries, k, deadline=batch_deadline)
-        pooled.add_done_callback(
-            lambda f: self._distribute_pooled(f, futures, deadlines)
-        )
-
-    def _distribute(
-        self, batch: BatchKnnResult, futures: list, deadlines: list
-    ) -> None:
-        self._stats.record_batch(len(futures), batch.stats)
-        now = time.perf_counter()
-        for future, result, deadline in zip(
-            futures, batch.results, deadlines
-        ):
-            if future.done():
-                continue
-            if deadline is not None and now > deadline:
-                # The answer exists but arrived late.  Deadline
-                # semantics stay strict and uniform: resolve-with-result
-                # happens before the deadline or not at all.
-                _fail(
-                    future,
-                    DeadlineExceeded(
-                        "answer arrived after the request deadline"
-                    ),
-                )
-            else:
-                _complete(future, result)
-
-    def _distribute_pooled(
-        self, pooled: Future, futures: list, deadlines: list
-    ) -> None:
-        error = pooled.exception()
-        if error is not None:
-            for future in futures:
-                _fail(future, error)
-            return
-        self._distribute(pooled.result(), futures, deadlines)
-
-    # -- lifecycle -----------------------------------------------------
-
-    def close(self, timeout: float = 30.0) -> None:
-        """Flush pending requests, drain workers, stop everything."""
-        if self._closed:
-            return
-        self._closed = True
-        self._batcher.close()
-        if self._pool is not None:
-            self._pool.drain(timeout)
-            self._pool.close()
-        # Last: the reaper must stay alive while draining so deadlined
-        # callers blocked on in-flight batches are still released on
-        # time.  (Leftover futures were failed by the pool above.)
-        self._reaper.close()
-
-    def __enter__(self) -> "IndexServer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    The local copy answers in-process (``n_workers=0``, through
+    :class:`_InlineIndex`) and supplies the metadata that requests are
+    validated against; with mmap the corpus bytes are shared with the
+    workers rather than duplicated.  The ``index_loader`` seam only
+    wraps whatever executes queries, so a pooled server's metadata copy
+    must not consume the fault plan (or its one-shot marker claim) that
+    is meant for the workers.
+    """
+    if n_workers == 0:
+        loader = index_loader if index_loader is not None else _load_snapshot_index
+        local = loader(snapshot_path, mmap_points)
+        return local, _InlineIndex(local)
+    local = _load_snapshot_index(snapshot_path, mmap_points)
+    return local, WorkerPool(
+        snapshot_path,
+        n_workers,
+        mmap_points=mmap_points,
+        index_loader=index_loader,
+        **pool_options,
+    )
 
 
 class _DeadlineReaper:
@@ -604,16 +670,3 @@ def _mirror_outcome(src: Future, dst: Future) -> None:
     else:
         _complete(dst, src.result())
 
-
-def _complete(future: Future, value) -> None:
-    try:
-        future.set_result(value)
-    except InvalidStateError:  # resolved concurrently (e.g. cancelled)
-        pass
-
-
-def _fail(future: Future, error: Exception) -> None:
-    try:
-        future.set_exception(error)
-    except InvalidStateError:
-        pass

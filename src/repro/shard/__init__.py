@@ -18,12 +18,11 @@ distances, same tie ordering, per-shard
   :func:`merge_batches`), with the bit-identity argument in its module
   docstring.
 * :mod:`repro.shard.server` — :class:`ShardedIndexServer`, the
-  coordinator owning one hardened
-  :class:`~repro.serve.server.IndexServer` per shard replica: per-shard
-  deadline budgets, typed :class:`~repro.serve.errors.ShardError`
-  partial-failure policy (never a silent partial top-k), bounded
-  admission at the coordinator, and least-loaded replica routing for
-  hot shards.
+  :class:`~repro.serve.server.IndexServer` request pipeline (one
+  batcher, one deadline reaper, one ledger) over a fan-out that sends
+  each batch to every shard, with the typed
+  :class:`~repro.serve.errors.ShardError` partial-failure policy (never
+  a silent partial top-k).
 * :mod:`repro.shard.bench` — :func:`compare_sharded_serving`, the
   unsharded-baseline measurement harness shared by the CLI and
   ``benchmarks/bench_ablation_sharding.py``.

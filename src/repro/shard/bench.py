@@ -62,7 +62,6 @@ class ShardedComparison:
     k: int
     n_shards: int
     method: str
-    replicas: int
     n_workers: int
     closed_loop_seconds: float
     closed_loop_qps: float
@@ -80,13 +79,10 @@ def compare_sharded_serving(
     k: int,
     *,
     n_workers: int = 1,
-    replicas: int = 1,
     policy=None,
     cache_capacity: int = 0,
     start_method: str | None = None,
     deadline_ms: float | None = None,
-    max_pending: int | None = None,
-    shed_policy: str = "reject-new",
     heartbeat_timeout: float | None = 30.0,
     max_resubmits: int = 1,
 ) -> ShardedComparison:
@@ -104,10 +100,7 @@ def compare_sharded_serving(
     with ShardedIndexServer(
         manifest,
         n_workers=n_workers,
-        replicas=replicas,
         policy=policy,
-        max_pending=max_pending,
-        shed_policy=shed_policy,
         cache_capacity=cache_capacity,
         start_method=start_method,
         heartbeat_timeout=heartbeat_timeout,
@@ -127,7 +120,6 @@ def compare_sharded_serving(
         k=k,
         n_shards=n_shards,
         method=method,
-        replicas=replicas,
         n_workers=n_workers,
         closed_loop_seconds=closed_seconds,
         closed_loop_qps=n_queries / closed_seconds if closed_seconds else 0.0,

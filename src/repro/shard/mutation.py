@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 
 import numpy as np
 
@@ -41,7 +42,9 @@ from repro.search.results import (
     validate_queries,
     validate_query,
 )
+from repro.serve.errors import DeadlineExceeded, ServerClosedError
 from repro.serve.mutation import MutableIndexServer, MutationError
+from repro.serve.server import _deadline_at
 
 
 class MutableShardedServer:
@@ -174,7 +177,7 @@ class MutableShardedServer:
         """Insert one row; the coordinator allocates its global id."""
         with self._lock:
             if self._closed:
-                raise MutationError("sharded server is closed")
+                raise ServerClosedError("sharded server is closed")
             row_id = self._next_row_id
             self._next_row_id += 1
         self._members[self.owner_of(row_id)].insert(vector, row_id=row_id)
@@ -201,11 +204,13 @@ class MutableShardedServer:
     ) -> KnnResult:
         """Exact global top-``k`` over the union of live shard rows.
 
-        ``deadline_ms`` is forwarded to every member query; the fan-out
-        is sequential, so it bounds each member's wait, not the sum.
+        ``deadline_ms`` bounds the whole request: the members are asked
+        one after another, each with the budget that remains, and a
+        spent budget raises :class:`DeadlineExceeded`.
         """
         vector = validate_query(query, self.dimensionality)
         k = validate_k(k, self.n_live)
+        deadline = _deadline_at(deadline_ms, time.perf_counter())
         per_shard = []
         for member in self._members:
             # A member holding fewer than k live rows contributes them
@@ -214,9 +219,10 @@ class MutableShardedServer:
             # clamping loses no candidate.
             k_member = min(k, member.n_live)
             if k_member > 0:
-                per_shard.append(
-                    member.query(vector, k_member, deadline_ms=deadline_ms)
-                )
+                per_shard.append(member.query(
+                    vector, k_member, deadline_ms=_remaining_ms(deadline)
+                ))
+        _remaining_ms(deadline)  # a late answer is not delivered
         return _merge_global(per_shard, k)
 
     def query_batch(
@@ -224,19 +230,19 @@ class MutableShardedServer:
     ) -> BatchKnnResult:
         """Row-wise :meth:`query` through per-member explicit batches.
 
-        ``deadline_ms`` is forwarded to every member batch.
+        ``deadline_ms`` bounds the whole batch, as in :meth:`query`.
         """
         array = validate_queries(queries, self.dimensionality)
         k = validate_k(k, self.n_live)
+        deadline = _deadline_at(deadline_ms, time.perf_counter())
         per_shard = []
         for member in self._members:
             k_member = min(k, member.n_live)
             if k_member > 0 and array.shape[0] > 0:
-                per_shard.append(
-                    member.query_batch(
-                        array, k_member, deadline_ms=deadline_ms
-                    )
-                )
+                per_shard.append(member.query_batch(
+                    array, k_member, deadline_ms=_remaining_ms(deadline)
+                ))
+        _remaining_ms(deadline)
         results = tuple(
             _merge_global(
                 [batch.results[row] for batch in per_shard], k
@@ -264,6 +270,18 @@ class MutableShardedServer:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _remaining_ms(deadline: float | None) -> float | None:
+    """The budget left before ``deadline``; raises once it is spent."""
+    if deadline is None:
+        return None
+    remaining = (deadline - time.perf_counter()) * 1e3
+    if remaining <= 0.0:
+        raise DeadlineExceeded(
+            "request deadline passed before every shard answered"
+        )
+    return remaining
 
 
 def _merge_global(per_shard, k: int) -> KnnResult:

@@ -11,8 +11,7 @@ factory dict.  These tests pin the contract that makes that safe:
   messages naming the accepted set, never a deep ``TypeError``;
 * **the protocol** — every registered class satisfies the runtime
   :class:`repro.search.Index` protocol and declares a matching ``kind``
-  class attribute (with the deprecated ``_SNAPSHOT_KIND`` aliases kept
-  equal for one release);
+  class attribute;
 * **one mapping remains** — a source lint asserting no module outside
   the registry declares a dict literal keyed by kind names.
 """
@@ -98,14 +97,6 @@ class TestRegistryContents:
         for kind in INDEX_KINDS:
             cls = index_class(kind)
             assert cls.kind == kind
-
-    def test_deprecated_snapshot_kind_aliases_still_equal(self):
-        for kind in INDEX_KINDS:
-            cls = index_class(kind)
-            module = __import__(
-                cls.__module__, fromlist=["_SNAPSHOT_KIND"]
-            )
-            assert module._SNAPSHOT_KIND == kind
 
 
 class TestBuildRoundTrip:

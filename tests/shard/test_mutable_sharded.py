@@ -11,12 +11,13 @@ compaction, and restart-resume with id continuation.
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
 
 from repro.search.registry import build_index
-from repro.serve import MutationError
+from repro.serve import DeadlineExceeded, MutationError, ServerClosedError
 from repro.shard import MutableShardedServer
 
 
@@ -157,6 +158,46 @@ class TestRoutingRules:
             MutableShardedServer(
                 os.path.join(tmp_path, "l"), corpus, kind="lsh"
             )
+
+
+def _slowed(method, seconds):
+    def wrapper(*args, **kwargs):
+        time.sleep(seconds)
+        return method(*args, **kwargs)
+
+    return wrapper
+
+
+class TestServingContracts:
+    def test_deadline_bounds_the_whole_fan_out(self, tmp_path, data):
+        corpus, probes, _ = data
+        with MutableShardedServer(
+            os.path.join(tmp_path, "t"), corpus, n_shards=3
+        ) as server:
+            # Each member alone fits the 100 ms budget; three in a row
+            # do not.
+            for member in server.members:
+                for name in ("query", "query_batch"):
+                    setattr(member, name, _slowed(getattr(member, name), 0.06))
+            with pytest.raises(DeadlineExceeded):
+                server.query(probes[0], 3, deadline_ms=100)
+            with pytest.raises(DeadlineExceeded):
+                server.query_batch(probes, 3, deadline_ms=100)
+            answered = server.query(probes[0], 3, deadline_ms=60_000)
+            assert len(answered.neighbors) == 3
+
+    def test_closed_server_raises_server_closed(self, tmp_path, data):
+        corpus, probes, rng = data
+        server = MutableShardedServer(
+            os.path.join(tmp_path, "c"), corpus, n_shards=2
+        )
+        server.close()
+        with pytest.raises(ServerClosedError):
+            server.insert(rng.standard_normal(4))
+        with pytest.raises(ServerClosedError):
+            server.delete(0)
+        with pytest.raises(ServerClosedError):
+            server.query(probes[0], 1)
 
 
 class TestShardedResume:

@@ -1,4 +1,4 @@
-"""ShardedIndexServer: identity, routing, failure policy, admission."""
+"""ShardedIndexServer: identity, failure policy, admission, one pipeline."""
 
 import gc
 import threading
@@ -8,16 +8,20 @@ import numpy as np
 import pytest
 
 from repro.search import BruteForceIndex, KdTreeIndex
+from repro.search.snapshot import load_index
 from repro.serve import (
     BatchPolicy,
     DeadlineExceeded,
+    FaultPlan,
+    FaultyIndex,
+    InjectedFault,
     ServerClosedError,
     ServerOverloaded,
     ShardError,
 )
 from repro.shard import ShardedIndexServer, build_shards
 
-# Holds submitted requests in the member batchers indefinitely, so
+# Holds submitted requests in the batcher indefinitely, so
 # admission/deadline/cancellation tests control exactly when work runs.
 _HOLD = BatchPolicy(max_batch=10_000, max_wait_ms=3_600_000.0)
 _FAST = BatchPolicy(max_batch=8, max_wait_ms=1.0)
@@ -27,6 +31,21 @@ _FAST = BatchPolicy(max_batch=8, max_wait_ms=1.0)
 def manifest(corpus, tmp_path_factory):
     out = tmp_path_factory.mktemp("shards")
     return build_shards(corpus, str(out), 3, kind="bruteforce")
+
+
+def _dead_shard_loader(dead_path):
+    """An ``index_loader`` under which one shard fails every batch."""
+    plan = FaultPlan(raise_on=tuple(range(1, 1000)))
+
+    def load(snapshot_path, mmap_points):
+        index = load_index(snapshot_path, mmap_points=mmap_points)
+        return FaultyIndex(index, plan) if snapshot_path == dead_path else index
+
+    return load
+
+
+def _threads(name):
+    return sum(thread.name == name for thread in threading.enumerate())
 
 
 class TestIdentity:
@@ -48,8 +67,13 @@ class TestIdentity:
                 assert got.stats == expected.stats
             report = server.stats()
         assert report.n_requests == len(queries)
-        # Member micro-batches and scans are folded into the report.
-        assert report.n_batches >= server.n_shards
+        # The coordinator's own batches carry every request once, and
+        # their stats sum the scans of every shard.
+        assert report.n_batches >= 1
+        assert sum(
+            size * count
+            for size, count in report.batch_size_histogram.items()
+        ) == len(queries)
         assert report.query_stats.points_scanned == (
             len(queries) * corpus.shape[0]
         )
@@ -78,69 +102,28 @@ class TestIdentity:
         assert got.indices.tolist() == expected.indices.tolist()
 
 
-class TestReplicaRouting:
-    def test_both_replicas_serve_traffic(self, corpus, manifest):
-        with ShardedIndexServer(
-            manifest, n_workers=0, replicas=2, policy=_FAST
-        ) as server:
-            generator = np.random.default_rng(9)
-            for query in generator.normal(size=(16, corpus.shape[1])):
-                server.query(query, k=2)
-            reports = server.shard_reports()
-        for shard_reports in reports:
-            assert len(shard_reports) == 2
-            # Least-loaded with a rotating tie-break spreads sequential
-            # traffic across replicas instead of pinning one.
-            assert all(r.n_requests >= 1 for r in shard_reports)
-
-    def test_least_loaded_prefers_idle_replica(self, corpus, manifest):
-        with ShardedIndexServer(
-            manifest, n_workers=0, replicas=2, policy=_HOLD
-        ) as server:
-            member = server._shards[0]
-            # Pin load on one replica; the next pick must take the other.
-            member.loads[0] = 5
-            choice, _ = server._pick_replica(member)
-            assert choice == 1
-            member.loads[0] = 0
-            member.loads[1] -= 1
-
-
 class TestPartialFailurePolicy:
     def test_dead_shard_fails_typed_never_partial(self, corpus, manifest):
-        with ShardedIndexServer(manifest, n_workers=0, policy=_FAST) as server:
-            # Kill shard 1's only replica out from under the coordinator.
-            server._shards[1].replicas[0].close()
+        loader = _dead_shard_loader(manifest.shards[1].snapshot_path)
+        with ShardedIndexServer(
+            manifest, n_workers=0, policy=_FAST, index_loader=loader
+        ) as server:
             future = server.submit(corpus[0], k=4)
             with pytest.raises(ShardError) as excinfo:
                 future.result(timeout=30)
             assert "shard 1" in str(excinfo.value)
-            assert isinstance(excinfo.value.__cause__, ServerClosedError)
+            assert isinstance(excinfo.value.__cause__, InjectedFault)
             report = server.stats()
         assert report.n_failed == 1
         assert report.n_requests == 0
 
     def test_dead_shard_fails_query_batch(self, corpus, manifest):
-        with ShardedIndexServer(manifest, n_workers=0) as server:
-            server._shards[2].replicas[0].close()
+        loader = _dead_shard_loader(manifest.shards[2].snapshot_path)
+        with ShardedIndexServer(
+            manifest, n_workers=0, index_loader=loader
+        ) as server:
             with pytest.raises(ShardError, match="shard 2"):
                 server.query_batch(corpus[:3], k=2)
-
-    def test_replica_survives_dead_peer(self, corpus, manifest):
-        # With R=2, killing one replica degrades capacity, not answers:
-        # the live replica keeps the shard serving bit-identically.
-        reference = BruteForceIndex(corpus)
-        with ShardedIndexServer(
-            manifest, n_workers=0, replicas=2, policy=_FAST
-        ) as server:
-            dead = server._shards[0].replicas[0]
-            dead.close()
-            # Route every request away from the closed replica.
-            server._shards[0].loads[0] = 10_000
-            for query in (corpus[4], corpus[2]):
-                got = server.query(query, k=3)
-                expected = reference.query(query, k=3)
-                assert got.indices.tolist() == expected.indices.tolist()
 
 
 class TestDeadlines:
@@ -214,9 +197,10 @@ class TestDeadlines:
 
 class TestCoordinatorAdmission:
     def test_reject_new_sheds_synchronously(self, corpus, manifest):
-        with ShardedIndexServer(
-            manifest, n_workers=0, policy=_HOLD, max_pending=2
-        ) as server:
+        policy = BatchPolicy(
+            max_batch=10_000, max_wait_ms=3_600_000.0, max_pending=2
+        )
+        with ShardedIndexServer(manifest, n_workers=0, policy=policy) as server:
             held = [server.submit(corpus[i], k=1) for i in range(2)]
             with pytest.raises(ServerOverloaded):
                 server.submit(corpus[5], k=1)
@@ -227,13 +211,13 @@ class TestCoordinatorAdmission:
                 assert not future.done()
 
     def test_drop_oldest_fails_oldest_outstanding(self, corpus, manifest):
-        with ShardedIndexServer(
-            manifest,
-            n_workers=0,
-            policy=_HOLD,
+        policy = BatchPolicy(
+            max_batch=10_000,
+            max_wait_ms=3_600_000.0,
             max_pending=2,
             shed_policy="drop-oldest",
-        ) as server:
+        )
+        with ShardedIndexServer(manifest, n_workers=0, policy=policy) as server:
             oldest = server.submit(corpus[0], k=1)
             second = server.submit(corpus[1], k=1)
             newest = server.submit(corpus[2], k=1)
@@ -244,31 +228,37 @@ class TestCoordinatorAdmission:
             assert server.stats().n_shed == 1
 
     def test_rejects_bad_admission_config(self, manifest):
+        # Admission is configured on the policy, as for IndexServer; the
+        # coordinator-only knobs are gone.
         with pytest.raises(ValueError, match="max_pending"):
-            ShardedIndexServer(manifest, max_pending=0)
+            ShardedIndexServer(manifest, policy=BatchPolicy(max_pending=0))
         with pytest.raises(ValueError, match="shed_policy"):
-            ShardedIndexServer(manifest, shed_policy="random")
-        with pytest.raises(ValueError, match="replicas"):
-            ShardedIndexServer(manifest, replicas=0)
+            ShardedIndexServer(
+                manifest, policy=BatchPolicy(shed_policy="random")
+            )
+        for removed in ("max_pending", "shed_policy", "replicas"):
+            with pytest.raises(TypeError, match=removed):
+                ShardedIndexServer(manifest, **{removed: 1})
 
 
 class TestLedger:
     def test_every_submission_accounted_once(self, corpus, manifest):
         # Mix outcomes: answered, cancelled, shed (drop-oldest), and
         # closed-server failures — the ledger must balance exactly.
-        with ShardedIndexServer(
-            manifest,
-            n_workers=0,
-            policy=_HOLD,
+        policy = BatchPolicy(
+            max_batch=10_000,
+            max_wait_ms=3_600_000.0,
             max_pending=8,
             shed_policy="drop-oldest",
-        ) as server:
+        )
+        with ShardedIndexServer(manifest, n_workers=0, policy=policy) as server:
             futures = [server.submit(corpus[i], k=1) for i in range(8)]
             assert futures[1].cancel()
             assert futures[2].cancel()
-            # Cancelled futures leave the admission queue immediately, so
-            # two more fit under the bound; the two after that overflow
-            # it and shed the two oldest live requests.
+            # Cancelled futures stay queued, so each of the four
+            # overflowing arrivals drops the oldest queued request: two
+            # live ones are shed, and the two cancelled ones leave
+            # without being counted twice.
             futures += [server.submit(corpus[i], k=1) for i in (8, 9, 10, 11)]
             server.close()
             report = server.stats()
@@ -292,11 +282,7 @@ class TestLedger:
             report = server.stats()
             assert report.n_requests == 0
             assert report.n_batches == 0
-            assert all(
-                r.n_requests == 0
-                for reports in server.shard_reports()
-                for r in reports
-            )
+            assert report.query_stats.points_scanned == 0
 
 
 class TestLifecycle:
@@ -344,3 +330,39 @@ class TestLifecycle:
         for got, want in zip(results, expected):
             assert got.indices.tolist() == want.indices.tolist()
             assert got.distances.tolist() == want.distances.tolist()
+
+
+class TestOnePipeline:
+    def test_one_batcher_and_one_reaper_per_server(self, corpus, tmp_path):
+        man = build_shards(corpus, str(tmp_path), 4, kind="bruteforce")
+        names = ("repro-microbatcher", "repro-deadline-reaper")
+        before = [_threads(name) for name in names]
+        with ShardedIndexServer(man, n_workers=0, policy=_FAST) as server:
+            futures = [
+                server.submit(row, k=3, deadline_ms=60_000)
+                for row in corpus[:16]
+            ]
+            for future in futures:
+                future.result(timeout=30)
+            during = [_threads(name) for name in names]
+        assert [d - b for d, b in zip(during, before)] == [1, 1]
+
+    def test_pooled_shards_match_unsharded(self, corpus, manifest):
+        reference = BruteForceIndex(corpus)
+        generator = np.random.default_rng(13)
+        queries = np.vstack(
+            [generator.normal(size=(6, corpus.shape[1])), corpus[[2, 11]]]
+        )
+        with ShardedIndexServer(manifest, n_workers=1, policy=_FAST) as server:
+            futures = [server.submit(q, k=5) for q in queries]
+            for query, future in zip(queries, futures):
+                expected = reference.query(query, k=5)
+                got = future.result(timeout=30)
+                assert got.indices.tolist() == expected.indices.tolist()
+                assert got.distances.tolist() == expected.distances.tolist()
+                assert got.stats == expected.stats
+            batch = server.query_batch(queries, k=5)
+        expected = reference.query_batch(queries, k=5)
+        assert batch.indices.tolist() == expected.indices.tolist()
+        assert batch.distances.tolist() == expected.distances.tolist()
+        assert batch.stats == expected.stats
