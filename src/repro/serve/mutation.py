@@ -1,24 +1,33 @@
 """Mutable serving: a memtable over immutable snapshot generations.
 
-The serving stack below this module is frozen-corpus by construction —
-an :class:`~repro.serve.server.IndexServer` answers from one immutable
-snapshot.  Production corpora mutate.  This module adds mutation the
-LSM way, without ever answering approximately:
+A snapshot answers for one frozen corpus.  Production corpora mutate.
+This module adds mutation the LSM way, without ever answering
+approximately:
 
 * the **base** is the active snapshot generation
-  (:class:`~repro.search.snapshot.GenerationStore`), served by an
-  ordinary ``IndexServer``;
+  (:class:`~repro.search.snapshot.GenerationStore`), answered by the
+  batch backend an :class:`~repro.serve.server.IndexServer` would use:
+  the in-process index, or a :class:`~repro.serve.pool.WorkerPool`;
 * the **memtable** is an in-memory insert/delete delta: inserted rows
   keyed by their global row id, plus a tombstone set over both base and
   memtable rows;
-* every query is answered as an **exact merge**: the base server
+* every coalesced batch is answered as an **exact merge**: the base
   returns its top-``k + |tombstones|`` (so at least ``k`` live base
-  rows survive masking), dead rows are masked out, the memtable's live
-  rows are scanned with the family's sequential distance arithmetic,
-  and the pooled candidates are re-selected by ``(distance, global
-  id)`` — exactly the order a fresh index built over the live rowset
-  (rows in ascending global-id order) would produce, because every
-  index in the family breaks distance ties by lower corpus index.
+  rows survive masking), the memtable's live rows are scanned with the
+  family's sequential distance arithmetic, and
+  :func:`~repro.shard.merge.merge_batches` drops the dead rows and
+  re-selects by ``(distance, global id)`` — exactly the order a fresh
+  index built over the live rowset (rows in ascending global-id order)
+  would produce, because every index in the family breaks distance ties
+  by lower corpus index.
+
+:class:`MutableBackend` holds all of that state and answers batches
+with :meth:`WorkerPool.submit`'s signature.  :class:`MutableIndexServer`
+is the serving pipeline of :mod:`repro.serve.server` over one such
+backend, so a request passes one batcher, one deadline reaper and one
+ledger, and the ledger survives compactions;
+:class:`~repro.shard.mutation.MutableShardedServer` is the same
+pipeline over a fan-out to S of them.
 
 A background **compactor** folds the memtable into the base: it builds
 a fresh index over the live rowset, publishes it as a new generation
@@ -27,19 +36,18 @@ the serving view.  The swap protocol guarantees in-flight queries are
 never dropped or mis-answered:
 
 1. the new generation is built and published while the old view keeps
-   serving (queries merge against the memtable snapshot they captured,
-   so concurrent mutations never skew an in-flight answer);
-2. under the view lock the server reference is swapped, the compacted
-   cut is trimmed from the memtable, and tombstones of rows that were
+   serving (each batch merges against the memtable snapshot it
+   captured, so concurrent mutations never skew an in-flight answer);
+2. under the view lock the view is swapped, the compacted cut is
+   trimmed from the memtable, and tombstones of rows that were
    compacted away are dropped (tombstones of cut rows deleted *during*
    the build are kept — those rows made it into the new base and must
    stay masked);
-3. the old view is reference-counted: each query pins the view it
-   captured (capture and base submission happen under the same lock
-   acquisition, so a submission can never race the close), and the old
-   ``IndexServer`` — whose deadline reaper keeps releasing deadlined
-   callers throughout — is closed only after its last pinned query
-   resolves;
+3. the old view is reference-counted: each batch pins the view when it
+   captures the memtable rows and tombstones, in one lock acquisition,
+   and the old base backend is drained and then closed only after its
+   last pinned batch released it.  The pipeline's one deadline reaper
+   keeps releasing deadlined callers throughout;
 4. old generations beyond ``keep_generations`` are pruned.
 
 Because compaction rebuilds from scratch, a ``projscreen`` generation
@@ -75,7 +83,7 @@ generation directories.
 from __future__ import annotations
 
 import threading
-import time
+from concurrent.futures import Future
 
 import numpy as np
 
@@ -85,10 +93,7 @@ from repro.search.results import (
     KnnResult,
     Neighbor,
     QueryStats,
-    combine_stats,
     validate_corpus,
-    validate_k,
-    validate_queries,
     validate_query,
 )
 from repro.search.snapshot import (
@@ -97,8 +102,14 @@ from repro.search.snapshot import (
     read_snapshot,
 )
 from repro.serve.batcher import BatchPolicy
-from repro.serve.errors import ServerClosedError
-from repro.serve.server import IndexServer
+from repro.serve.errors import ServerClosedError, _complete, _fail
+from repro.serve.pool import WorkerPool
+from repro.serve.server import (
+    _DRAIN_SECONDS,
+    IndexServer,
+    _ServingPipeline,
+    _snapshot_backend,
+)
 from repro.serve.wal import SYNC_POLICIES, WalError, WalWriter, read_wal
 
 COMPACTION_REASONS = ("initial", "size", "drift", "manual")
@@ -109,26 +120,49 @@ class MutationError(ValueError):
 
 
 class _View:
-    """One served generation: an IndexServer pinned by in-flight queries.
+    """One served generation, pinned by the batches in flight on it.
 
-    ``refs`` counts queries that captured this view; the compactor
-    retires a view after the swap and closes its server only once the
-    last pinned query released it (``drained``).
+    ``backend`` answers the generation's snapshot (``pool`` is the same
+    object when it is a :class:`WorkerPool`).  ``refs`` counts batches
+    that captured this view; the compactor retires a view at the swap
+    and closes its backend only once the last pinned batch released it
+    (``drained``).
     """
 
-    __slots__ = ("info", "server", "base_ids", "points", "refs",
+    __slots__ = ("info", "base_ids", "points", "backend", "pool", "refs",
                  "retired", "drained")
 
-    def __init__(
-        self, info: GenerationInfo, server: IndexServer, points
-    ) -> None:
+    def __init__(self, info: GenerationInfo) -> None:
         self.info = info
-        self.server = server
         self.base_ids = info.load_ids()
-        self.points = points  # mmap'd (n, d) corpus of the generation
+        self.points = read_snapshot(  # mmap'd (n, d) corpus
+            info.snapshot_path,
+            None,
+            required=("points",),
+            mmap_points=True,
+        )["points"]
+        self.backend = self.pool = None
         self.refs = 0
         self.retired = False
         self.drained = threading.Event()
+
+    def open(self, n_workers: int) -> None:
+        """Start the base backend (worker processes if ``n_workers >= 1``)."""
+        _, self.backend = _snapshot_backend(
+            self.info.snapshot_path,
+            n_workers,
+            mmap_points=True,
+            index_loader=None,
+            heartbeat_timeout=30.0,  # IndexServer's default
+        )
+        if isinstance(self.backend, WorkerPool):
+            self.pool = self.backend
+
+    def close(self) -> None:
+        """Drain and close the base backend's worker pool, if any."""
+        if self.pool is not None:
+            self.pool.drain(_DRAIN_SECONDS)
+            self.pool.close()
 
     def local_of(self, row_id: int) -> int:
         """Local row index of global ``row_id``, or ``-1`` if absent."""
@@ -141,12 +175,22 @@ class _View:
         return -1
 
 
-class MutableIndexServer:
-    """Serve and mutate one corpus with exact, rebuild-identical answers.
+class MutableBackend:
+    """Batch backend: exact top-k over one corpus that mutates.
+
+    Holds the generation store, the served view (pinned by in-flight
+    batches), the memtable, the tombstones, the write-ahead log, the
+    drift monitor and the compactor.  :meth:`submit` has
+    :meth:`WorkerPool.submit`'s signature and answers in global row
+    ids, bit-identically to ``build_index(kind, live_rows)`` with local
+    indices mapped to global ids — neighbors, distances, and
+    tie-breaks included.  The serving pipeline also drains and closes
+    it like a pool (:meth:`drain`, :meth:`close` and the restart
+    counters), which it forwards to the serving generation's pool.
 
     Args:
         root: generation-store directory.  If it holds a manifest the
-            server resumes from the active generation (pass
+            backend resumes from the active generation (pass
             ``points=None``); otherwise ``points`` seeds generation 0.
         points: initial ``(n, d)`` corpus for a fresh store.
         row_ids: global ids for the seed rows (strictly ascending);
@@ -159,9 +203,8 @@ class MutableIndexServer:
             (e.g. ``subspace_dim``/``ordering`` for projscreen — the
             projection itself is refit from the live corpus at each
             compaction, never carried over).
-        n_workers / policy / cache_capacity / mmap_points /
-        start_method / default_deadline_ms: forwarded to the per-
-            generation :class:`IndexServer`.
+        n_workers: worker processes answering each generation's base
+            (``0``: the in-process index, on the batcher thread).
         compact_threshold: auto-compact once the memtable holds this
             many operations (inserted rows + tombstones); ``None``
             disables size-triggered compaction.
@@ -189,11 +232,6 @@ class MutableIndexServer:
         kind: str = "bruteforce",
         index_kwargs: dict | None = None,
         n_workers: int = 0,
-        policy: BatchPolicy | None = None,
-        cache_capacity: int = 0,
-        mmap_points: bool = True,
-        start_method: str | None = None,
-        default_deadline_ms: float | None = None,
         compact_threshold: int | None = None,
         drift_threshold: float | None = None,
         keep_generations: int = 2,
@@ -214,6 +252,10 @@ class MutableIndexServer:
                 "for exact kinds (answers a function of the live rows "
                 f"alone); choose one of {list(EXACT_KINDS)}"
             )
+        if n_workers < 0:
+            raise ValueError(
+                f"n_workers must be non-negative, got {n_workers}"
+            )
         if compact_threshold is not None and compact_threshold < 1:
             raise ValueError(
                 f"compact_threshold must be positive or None, "
@@ -230,14 +272,7 @@ class MutableIndexServer:
             )
         self._kind = kind
         self._index_kwargs = dict(index_kwargs or {})
-        self._server_options = {
-            "n_workers": n_workers,
-            "policy": policy,
-            "cache_capacity": cache_capacity,
-            "mmap_points": mmap_points,
-            "start_method": start_method,
-            "default_deadline_ms": default_deadline_ms,
-        }
+        self._n_workers = int(n_workers)
         self._compact_threshold = compact_threshold
         self._drift_threshold = drift_threshold
         self._keep_generations = keep_generations
@@ -281,11 +316,12 @@ class MutableIndexServer:
             )
 
         # The view lock guards the serving view, the memtable, the
-        # tombstones, and the id counter.  Queries hold it only to
-        # capture a consistent (view, delta, tombstones) triple and
-        # submit the base request; mutations hold it to update state.
+        # tombstones, and the id counter.  A batch holds it only to
+        # capture a consistent (view, delta, tombstones) triple and pin
+        # the view; mutations hold it to update state.
         self._lock = threading.Lock()
-        self._view = self._open_view(info)
+        self._view = _View(info)
+        self.dimensionality = int(self._view.points.shape[1])
         self._memtable: dict[int, np.ndarray] = {}
         self._tombstones: set[int] = set()
         self._next_row_id = info.next_row_id
@@ -307,10 +343,12 @@ class MutableIndexServer:
             self._moments.update(np.asarray(self._view.points))
             self._arm_drift_monitor()
 
-        # Recover, then open the log for appends.  Replay runs before
-        # the compactor thread exists, so it owns all state; the writer
-        # truncates the recovered torn tail (if any) so the log is
-        # well-formed before the first new append lands after it.
+        # Recover, open the log for appends, and only then start the
+        # base backend, so a refused log leaves no thread or worker
+        # behind.  Replay runs before the compactor thread exists, so
+        # it owns all state; the writer truncates the recovered torn
+        # tail (if any) so the log is well-formed before the first new
+        # append lands after it.
         replay = None
         if resuming:
             try:
@@ -319,24 +357,18 @@ class MutableIndexServer:
                 # A pre-WAL generation never wrote a log; its memtable
                 # was declared volatile, so there is nothing to replay.
                 replay = None
+        self._wal = WalWriter(
+            info.wal_path,
+            truncate_to=replay.valid_bytes if replay is not None else None,
+            **self._wal_options,
+        )
         try:
-            self._wal = WalWriter(
-                info.wal_path,
-                truncate_to=(
-                    replay.valid_bytes if replay is not None else None
-                ),
-                **self._wal_options,
-            )
-        except BaseException:
-            self._view.server.close()
-            raise
-        if replay is not None and replay.ops:
-            try:
+            if replay is not None and replay.ops:
                 self._replay(replay.ops)
-            except BaseException:
-                self._wal.close()
-                self._view.server.close()
-                raise
+            self._view.open(self._n_workers)
+        except BaseException:
+            self._wal.close()
+            raise
 
         # One compaction at a time; manual compact() and the background
         # compactor serialize here.
@@ -362,10 +394,6 @@ class MutableIndexServer:
         return self._kind
 
     @property
-    def dimensionality(self) -> int:
-        return self._view.server.dimensionality
-
-    @property
     def n_live(self) -> int:
         """Rows a fresh rebuild right now would contain."""
         with self._lock:
@@ -376,6 +404,12 @@ class MutableIndexServer:
         """Id of the generation currently serving as the base."""
         with self._lock:
             return self._view.info.generation_id
+
+    @property
+    def snapshot_path(self) -> str:
+        """Snapshot of the generation currently serving as the base."""
+        with self._lock:
+            return self._view.info.snapshot_path
 
     @property
     def memtable_ops(self) -> int:
@@ -410,10 +444,23 @@ class MutableIndexServer:
     def store(self) -> GenerationStore:
         return self._store
 
-    def stats(self):
-        """Serving metrics of the current generation's server."""
-        with self._lock:
-            return self._view.server.stats()
+    @property
+    def n_restarts(self) -> int:
+        """Worker restarts of the serving generation's pool."""
+        pool = self._view.pool
+        return pool.n_restarts if pool is not None else 0
+
+    @property
+    def n_hung_kills(self) -> int:
+        """Hung-worker kills of the serving generation's pool."""
+        pool = self._view.pool
+        return pool.n_hung_kills if pool is not None else 0
+
+    @property
+    def n_resubmitted(self) -> int:
+        """Batches the serving generation's pool resubmitted."""
+        pool = self._view.pool
+        return pool.n_resubmitted if pool is not None else 0
 
     # -- mutation ------------------------------------------------------
 
@@ -478,68 +525,66 @@ class MutableIndexServer:
                 self._moments.downdate(row)
             self._check_triggers_locked()
 
-    # -- queries -------------------------------------------------------
+    # -- batches -------------------------------------------------------
 
-    def query(
-        self, query, k: int = 1, *, deadline_ms: float | None = None
-    ) -> KnnResult:
-        """Exact top-``k`` over the live rowset (global row ids).
+    def submit(self, queries, k: int, *, deadline: float | None = None) -> Future:
+        """Exact top-``k`` of every row over the live rowset.
 
-        Bit-identical to ``build_index(kind, live_rows).query(...)``
-        with local indices mapped to global ids — neighbors, distances,
-        and tie-breaks included.
+        The view, the memtable's live rows and the tombstones are
+        captured once for the batch, in the lock acquisition that pins
+        the view, so a swap cannot close the base backend under it.
+        Outside the lock the base is asked for ``k + |tombstones|``
+        neighbors (``deadline`` passes on, as the pipeline's discard
+        hint), the memtable is scanned meanwhile, and the answers are
+        merged once the base has answered.  ``k`` is clamped to the
+        live rows captured: a shard may hold fewer than the global
+        ``k``, and rows may have been deleted since admission.
         """
-        vector = validate_query(query, self.dimensionality)
-        view, pending, rows, ids, tombs, k = self._begin(vector, k,
-                                                         deadline_ms)
-        try:
-            delta = self._scan_delta(rows, ids, vector, k)
-            base = pending.result() if pending is not None else None
-            return self._merge(base, view, tombs, delta, k)
-        finally:
-            self._release(view)
-
-    def query_batch(
-        self, queries, k: int = 1, *, deadline_ms: float | None = None
-    ) -> BatchKnnResult:
-        """Row-wise :meth:`query` through one explicit base batch.
-
-        ``deadline_ms`` carries the same contract as :meth:`query` —
-        it bounds the whole batch and is propagated to the base
-        server's explicit-batch submission.
-        """
-        array = validate_queries(queries, self.dimensionality)
+        answer: Future = Future()
         with self._lock:
             self._require_open()
+            k = min(k, self._n_live)
+            if k == 0:  # every row of this shard was deleted
+                empty = KnnResult(neighbors=())
+                answer.set_result(
+                    BatchKnnResult(results=(empty,) * len(queries))
+                )
+                return answer
             view = self._view
             view.refs += 1
-            k = validate_k(k, self._n_live)
             rows, ids = self._delta_snapshot_locked()
             tombs = frozenset(self._tombstones)
-            k_base = min(view.base_ids.size, k + len(tombs))
         try:
-            base_batch = None
-            if k_base > 0 and array.shape[0] > 0:
-                base_batch = view.server.query_batch(
-                    array, k_base, deadline_ms=deadline_ms
-                )
-            results = tuple(
-                self._merge(
-                    base_batch.results[row] if base_batch is not None
-                    else None,
-                    view,
-                    tombs,
-                    self._scan_delta(rows, ids, array[row], k),
-                    k,
-                )
-                for row in range(array.shape[0])
+            base = view.backend.submit(
+                queries,
+                min(view.base_ids.size, k + len(tombs)),
+                deadline=deadline,
             )
-            return BatchKnnResult(
-                results=results,
-                stats=combine_stats(r.stats for r in results),
-            )
-        finally:
+            delta = BatchKnnResult(results=tuple(
+                _scan_delta(rows, ids, query, k) for query in queries
+            ))
+        except BaseException:
             self._release(view)
+            raise
+
+        def merge(answered: Future) -> None:
+            # Deferred: importing repro.shard imports this module.
+            from repro.shard.merge import merge_batches
+
+            try:
+                _complete(answer, merge_batches(
+                    [answered.result(), delta],
+                    [view.base_ids, None],
+                    k,
+                    exclude=tombs,
+                ))
+            except Exception as error:  # a failed base fails the batch
+                _fail(answer, error)
+            finally:
+                self._release(view)
+
+        base.add_done_callback(merge)
+        return answer
 
     # -- compaction ----------------------------------------------------
 
@@ -549,7 +594,8 @@ class MutableIndexServer:
         Rebuilds an index over the live rowset (rows ascending by
         global id — the order that makes local-index tie-breaks equal
         global-id tie-breaks), publishes it, swaps the serving view,
-        then closes the old server after its in-flight queries drain.
+        then drains and closes the old base backend once its pinned
+        batches have released it.
         """
         if reason not in COMPACTION_REASONS:
             raise ValueError(
@@ -560,44 +606,17 @@ class MutableIndexServer:
             with self._lock:
                 self._require_open()
                 old_view = self._view
-                cut_ids = tuple(self._memtable.keys())
-                cut_rows = [self._memtable[gid] for gid in cut_ids]
+                cut_set = set(self._memtable)
+                rows, ids = self._delta_snapshot_locked()
                 tombs = frozenset(self._tombstones)
                 next_row_id = self._next_row_id
-            base_ids = old_view.base_ids
-            base_live = np.fromiter(
-                (gid not in tombs for gid in base_ids),
-                dtype=bool,
-                count=base_ids.size,
-            )
-            live_cut = [
-                (gid, row)
-                for gid, row in zip(cut_ids, cut_rows)
-                if gid not in tombs
-            ]
-            n_rows = int(base_live.sum()) + len(live_cut)
-            if n_rows == 0:
+            live_ids, live_rows = _live_rowset(old_view, tombs, rows, ids)
+            if live_ids.size == 0:
                 raise MutationError(
                     "cannot compact an empty rowset: every index kind "
                     "requires at least one corpus row; insert before "
                     "compacting"
                 )
-            all_ids = np.concatenate([
-                base_ids[base_live],
-                np.array(
-                    [gid for gid, _ in live_cut], dtype=np.intp
-                ).reshape(-1),
-            ])
-            all_rows = np.concatenate([
-                np.asarray(old_view.points)[base_live],
-                np.array([row for _, row in live_cut]).reshape(
-                    len(live_cut), -1
-                ),
-            ]) if live_cut else np.asarray(old_view.points)[base_live]
-            order = np.argsort(all_ids, kind="stable")
-            live_ids = all_ids[order]
-            live_rows = np.ascontiguousarray(all_rows[order])
-
             index = build_index(
                 self._kind, live_rows, **self._index_kwargs
             )
@@ -611,9 +630,9 @@ class MutableIndexServer:
             pending = self._store.prepare(
                 index, live_ids, next_row_id=next_row_id, reason=reason
             )
-            new_view = self._open_view(pending)
+            new_view = _View(pending)
+            new_view.open(self._n_workers)
             base_set = set(int(gid) for gid in live_ids)
-            cut_set = set(cut_ids)
 
             new_wal = None
             try:
@@ -674,24 +693,27 @@ class MutableIndexServer:
                 # successful prune.
                 if new_wal is not None:
                     new_wal.close()
-                new_view.server.close()
+                new_view.close()
                 raise
             if drained:
                 old_view.drained.set()
             old_wal.close()
-            # In-flight queries pinned to the old view finish against
-            # it; only then is its server closed (batcher flush + pool
-            # drain + reaper shutdown, in that order, so deadlines keep
-            # holding throughout the swap).
+            # Batches pinned to the old view finish against it; only
+            # then is its base backend drained and closed.
             old_view.drained.wait()
-            old_view.server.close()
+            old_view.close()
             self._store.prune(keep=self._keep_generations)
             return info
 
     # -- lifecycle -----------------------------------------------------
 
+    def drain(self, timeout: float = _DRAIN_SECONDS) -> bool:
+        """Wait until the serving generation's pool has nothing in flight."""
+        pool = self._view.pool
+        return pool.drain(timeout) if pool is not None else True
+
     def close(self) -> None:
-        """Stop the compactor and the serving stack.
+        """Stop the compactor, then close the base backend and the log.
 
         The write-ahead log is synced and closed, so a clean shutdown
         loses nothing under any ``wal_sync`` policy; a later resume
@@ -706,30 +728,14 @@ class MutableIndexServer:
             self._compactor.join()
         # Serialize with any manual compaction still publishing.
         with self._compact_lock:
-            self._view.server.close()
+            self._view.close()
             self._wal.close()
-
-    def __enter__(self) -> "MutableIndexServer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- internals -----------------------------------------------------
 
     def _require_open(self) -> None:
         if self._closed:
             raise ServerClosedError("mutable server is closed")
-
-    def _open_view(self, info: GenerationInfo) -> _View:
-        server = IndexServer(info.snapshot_path, **self._server_options)
-        points = read_snapshot(
-            info.snapshot_path,
-            None,
-            required=("points",),
-            mmap_points=True,
-        )["points"]
-        return _View(info, server, points)
 
     def _replay(self, ops) -> None:
         """Apply a recovered log on top of the freshly opened base.
@@ -872,98 +878,131 @@ class MutableIndexServer:
             self._delta_dirty = False
         return self._delta_rows, self._delta_ids
 
-    def _begin(self, vector, k, deadline_ms):
-        """Capture a consistent view and submit the base request.
-
-        Capture and submission share one lock acquisition: the swap
-        also runs under this lock, so a base request can only be
-        submitted to a server that is still the active view (or a
-        retired one that is pinned by this query's reference and
-        therefore not yet closed) — never to a closed server.
-        """
-        with self._lock:
-            self._require_open()
-            view = self._view
-            view.refs += 1
-            try:
-                k = validate_k(k, self._n_live)
-                rows, ids = self._delta_snapshot_locked()
-                tombs = frozenset(self._tombstones)
-                k_base = min(view.base_ids.size, k + len(tombs))
-                pending = None
-                if k_base > 0:
-                    pending = view.server.submit(
-                        vector, k_base, deadline_ms=deadline_ms
-                    )
-            except BaseException:
-                self._release_locked(view)
-                raise
-        return view, pending, rows, ids, tombs, k
-
     def _release(self, view: _View) -> None:
         with self._lock:
-            self._release_locked(view)
+            view.refs -= 1
+            if view.retired and view.refs == 0:
+                view.drained.set()
 
-    @staticmethod
-    def _release_locked(view: _View) -> None:
-        view.refs -= 1
-        if view.retired and view.refs == 0:
-            view.drained.set()
 
-    @staticmethod
-    def _scan_delta(rows, ids, vector, k):
-        """Exact top-``k`` of the memtable's live rows.
+class MutableIndexServer(IndexServer):
+    """Serve and mutate one corpus with exact, rebuild-identical answers.
 
-        Same arithmetic as the family's sequential scan — per-row
-        subtract, square, sum, then a stable argsort — so a delta row's
-        distance has exactly the bits a fresh index would produce, and
-        ascending-id storage makes the stable sort break ties by lower
-        global id.
-        """
-        if rows.shape[0] == 0:
-            return KnnResult(neighbors=(), stats=QueryStats())
-        gaps = rows - vector
-        squared = np.sum(np.square(gaps), axis=1)
-        order = np.argsort(squared, kind="stable")[:k]
-        neighbors = tuple(
-            Neighbor(
-                index=int(ids[i]),
-                distance=float(np.sqrt(squared[i])),
-            )
-            for i in order
+    The serving pipeline of :class:`~repro.serve.server.IndexServer`
+    (validation, micro-batcher admission, deadline reaper, ledger,
+    explicit ``query_batch``) over one :class:`MutableBackend`.
+    ``submit``/``query``/``query_batch`` answer in global row ids,
+    bit-identically to ``build_index(kind, live_rows)`` with local
+    indices mapped to global ids, and :meth:`stats` keeps one ledger
+    across compactions.
+
+    It subclasses :class:`IndexServer` without running its constructor
+    or overriding ``submit``, so a request enters through the class
+    attribute ``IndexServer.submit`` exactly like an unsharded one:
+    perfbench's traced run patches that attribute and keys its spans on
+    :attr:`snapshot_path`, the serving generation's snapshot.
+
+    Args:
+        root / points: the generation store and, for a fresh store, its
+            seed corpus (see :class:`MutableBackend`).
+        policy / default_deadline_ms: as for :class:`IndexServer`.
+        **options: the other :class:`MutableBackend` keywords —
+            ``row_ids``, ``kind``, ``index_kwargs``, ``n_workers``,
+            ``compact_threshold``, ``drift_threshold``,
+            ``keep_generations``, ``wal_sync``, ``wal_group_ops`` and
+            ``wal_group_interval_ms``.
+    """
+
+    def __init__(
+        self,
+        root: str,
+        points=None,
+        *,
+        policy: BatchPolicy | None = None,
+        default_deadline_ms: float | None = None,
+        **options,
+    ) -> None:
+        _ServingPipeline.__init__(
+            self,
+            policy=policy,
+            cache_capacity=0,  # a cached answer goes stale at the next write
+            default_deadline_ms=default_deadline_ms,
         )
-        return KnnResult(
-            neighbors=neighbors,
-            stats=QueryStats(points_scanned=int(rows.shape[0])),
-        )
+        self._mutable = MutableBackend(root, points, **options)
+        self._start(self._mutable, [self._mutable])
 
-    @staticmethod
-    def _merge(base, view, tombs, delta, k) -> KnnResult:
-        """Mask dead base rows, pool with the delta, re-select top-k.
+    kind = property(lambda self: self._mutable.kind)
+    dimensionality = property(lambda self: self._mutable.dimensionality)
+    snapshot_path = property(lambda self: self._mutable.snapshot_path)
+    n_live = property(lambda self: self._mutable.n_live)
+    n_points = n_live  # what validate_k bounds a request's k by
+    generation_id = property(lambda self: self._mutable.generation_id)
+    memtable_ops = property(lambda self: self._mutable.memtable_ops)
+    next_row_id = property(lambda self: self._mutable.next_row_id)
+    n_compactions = property(lambda self: self._mutable.n_compactions)
+    n_drift_compactions = property(
+        lambda self: self._mutable.n_drift_compactions
+    )
+    wal_sync = property(lambda self: self._mutable.wal_sync)
+    wal_appends = property(lambda self: self._mutable.wal_appends)
+    wal_syncs = property(lambda self: self._mutable.wal_syncs)
+    store = property(lambda self: self._mutable.store)
 
-        Ordering by ``(distance, global id)`` reproduces the family's
-        (distance, lower corpus index) tie-break of a fresh index whose
-        rows are sorted by ascending global id.
-        """
-        candidates: list[tuple[float, int]] = []
-        stats = [delta.stats]
-        if base is not None:
-            stats.append(base.stats)
-            base_ids = view.base_ids
-            for neighbor in base.neighbors:
-                gid = int(base_ids[neighbor.index])
-                if gid not in tombs:
-                    candidates.append((neighbor.distance, gid))
-        for neighbor in delta.neighbors:
-            candidates.append((neighbor.distance, neighbor.index))
-        candidates.sort()
-        return KnnResult(
-            neighbors=tuple(
-                Neighbor(index=gid, distance=distance)
-                for distance, gid in candidates[:k]
-            ),
-            stats=combine_stats(stats),
+    def insert(self, vector, *, row_id: int | None = None) -> int:
+        """Add one row; see :meth:`MutableBackend.insert`."""
+        return self._mutable.insert(vector, row_id=row_id)
+
+    def delete(self, row_id: int) -> None:
+        """Remove one live row; see :meth:`MutableBackend.delete`."""
+        self._mutable.delete(row_id)
+
+    def compact(self, reason: str = "manual") -> GenerationInfo:
+        """Fold the memtable into a new generation; see :meth:`MutableBackend.compact`."""
+        return self._mutable.compact(reason)
+
+
+def _scan_delta(rows, ids, vector, k) -> KnnResult:
+    """Exact top-``k`` of the memtable's live rows.
+
+    Same arithmetic as the family's sequential scan — per-row
+    subtract, square, sum, then a stable argsort — so a delta row's
+    distance has exactly the bits a fresh index would produce, and
+    ascending-id storage makes the stable sort break ties by lower
+    global id.
+    """
+    if rows.shape[0] == 0:
+        return KnnResult(neighbors=(), stats=QueryStats())
+    gaps = rows - vector
+    squared = np.sum(np.square(gaps), axis=1)
+    order = np.argsort(squared, kind="stable")[:k]
+    neighbors = tuple(
+        Neighbor(
+            index=int(ids[i]),
+            distance=float(np.sqrt(squared[i])),
         )
+        for i in order
+    )
+    return KnnResult(
+        neighbors=neighbors,
+        stats=QueryStats(points_scanned=int(rows.shape[0])),
+    )
+
+
+def _live_rowset(view: _View, tombs, rows, ids):
+    """``(ids, rows)`` of the live rowset, in ascending global-id order.
+
+    The view's base rows minus ``tombs``, plus the memtable's live
+    ``rows``/``ids`` as captured.
+    """
+    base_live = np.fromiter(
+        (gid not in tombs for gid in view.base_ids),
+        dtype=bool,
+        count=view.base_ids.size,
+    )
+    all_ids = np.concatenate([view.base_ids[base_live], ids])
+    all_rows = np.concatenate([np.asarray(view.points)[base_live], rows])
+    order = np.argsort(all_ids, kind="stable")
+    return all_ids[order], np.ascontiguousarray(all_rows[order])
 
 
 def live_reference_index(server: MutableIndexServer):
@@ -974,34 +1013,11 @@ def live_reference_index(server: MutableIndexServer):
     ascending global-id order and ``live_ids[local] -> global``.
     Mutations must be quiescent while it is used.
     """
-    with server._lock:
-        view = server._view
-        base_ids = view.base_ids
-        tombs = frozenset(server._tombstones)
-        rows, ids = server._delta_snapshot_locked()
-        base_live = np.fromiter(
-            (gid not in tombs for gid in base_ids),
-            dtype=bool,
-            count=base_ids.size,
-        )
-        all_ids = np.concatenate([base_ids[base_live], ids])
-        all_rows = (
-            np.concatenate([np.asarray(view.points)[base_live], rows])
-            if rows.shape[0]
-            else np.asarray(view.points)[base_live].copy()
-        )
-    order = np.argsort(all_ids, kind="stable")
-    live_ids = all_ids[order]
-    index = build_index(
-        server.kind,
-        np.ascontiguousarray(all_rows[order]),
-        **server._index_kwargs,
-    )
+    backend = server._mutable
+    with backend._lock:
+        view = backend._view
+        tombs = frozenset(backend._tombstones)
+        rows, ids = backend._delta_snapshot_locked()
+    live_ids, live_rows = _live_rowset(view, tombs, rows, ids)
+    index = build_index(server.kind, live_rows, **backend._index_kwargs)
     return index, live_ids
-
-
-# Timing helper shared by the mutation bench: wall-clock one callable.
-def _timed(fn):
-    start = time.perf_counter()
-    value = fn()
-    return value, time.perf_counter() - start

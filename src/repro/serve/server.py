@@ -1,6 +1,6 @@
 """The serving facade: snapshot in, bit-identical answers out.
 
-One request pipeline serves every read-only deployment:
+One request pipeline serves every deployment, read-only or mutable:
 
     submit --> [LRU cache] --> micro-batcher --\\
                                                  >--> batch backend
@@ -12,8 +12,12 @@ signature, ``submit(queries, k, *, deadline) -> Future[BatchKnnResult]``.
 :class:`~repro.serve.pool.WorkerPool` or, with ``n_workers=0``, by the
 in-process index on the batcher thread (no IPC, still micro-batched);
 :class:`~repro.shard.server.ShardedIndexServer` runs the same pipeline
-over a fan-out to every shard.  Either way one batcher, one reaper and
-one ledger serve each request.
+over a fan-out to every shard.
+:class:`~repro.serve.mutation.MutableIndexServer` runs it over a
+memtable merge (one snapshot generation plus the un-compacted writes),
+and :class:`~repro.shard.mutation.MutableShardedServer` over a fan-out
+to such merges.  Every way, one batcher, one reaper and one ledger
+serve each request.
 
 ``submit(query, k)`` returns a future for one
 :class:`~repro.search.results.KnnResult`; ``query`` is the blocking
@@ -86,7 +90,7 @@ _DRAIN_SECONDS = 30.0
 
 
 class _ServingPipeline:
-    """The request path shared by :class:`IndexServer` and the sharded server.
+    """The request path shared by every server class.
 
     Validation, the result cache with stampede coalescing, micro-batcher
     admission, the deadline reaper, the :class:`ServingStats` ledger and
@@ -124,15 +128,15 @@ class _ServingPipeline:
         self._stats = ServingStats()
         self._closed = False
 
-    def _start(self, backend, fingerprint: str, pools: list) -> None:
+    def _start(self, backend, pools: list) -> None:
         """Attach the batch backend and start the batcher and reaper.
 
-        ``pools`` are the worker pools behind ``backend``: their restart
-        counters join the report, and :meth:`close` drains and closes
-        them.
+        ``pools`` are what :meth:`close` drains and then closes, and
+        whose restart counters join the report: the worker pools behind
+        ``backend``, or mutable backends, which drain and close the
+        pool of whichever generation they serve.
         """
         self._backend = backend
-        self.fingerprint = fingerprint
         self._pools = pools
         self._batcher = MicroBatcher(self._flush, self._policy)
         self._reaper = _DeadlineReaper()
@@ -290,9 +294,16 @@ class _ServingPipeline:
             raise ServerClosedError("server is closed")
 
     def _deadline(self, deadline_ms: float | None, now: float) -> float | None:
+        """Absolute deadline of a request submitted ``now`` (``None``: none)."""
         if deadline_ms is None:
             deadline_ms = self.default_deadline_ms
-        return _deadline_at(deadline_ms, now)
+        if deadline_ms is None:
+            return None
+        if deadline_ms <= 0:
+            raise ValueError(
+                f"deadline_ms must be positive or None, got {deadline_ms}"
+            )
+        return now + deadline_ms / 1e3
 
     def _clear_inflight(self, key) -> None:
         with self._inflight_lock:
@@ -466,7 +477,7 @@ class IndexServer(_ServingPipeline):
         self.snapshot_path = snapshot_path
         self.kind = snapshot_kind(snapshot_path)
         self.n_workers = int(n_workers)
-        fingerprint = snapshot_fingerprint(snapshot_path)
+        self.fingerprint = snapshot_fingerprint(snapshot_path)
         self._local, backend = _snapshot_backend(
             snapshot_path,
             n_workers,
@@ -478,7 +489,7 @@ class IndexServer(_ServingPipeline):
             max_resubmits=max_resubmits,
         )
         pools = [backend] if isinstance(backend, WorkerPool) else []
-        self._start(backend, fingerprint, pools)
+        self._start(backend, pools)
 
     @property
     def n_points(self) -> int:
@@ -487,17 +498,6 @@ class IndexServer(_ServingPipeline):
     @property
     def dimensionality(self) -> int:
         return self._local.dimensionality
-
-
-def _deadline_at(deadline_ms: float | None, now: float) -> float | None:
-    """Absolute deadline of a request submitted ``now`` (``None``: none)."""
-    if deadline_ms is None:
-        return None
-    if deadline_ms <= 0:
-        raise ValueError(
-            f"deadline_ms must be positive or None, got {deadline_ms}"
-        )
-    return now + deadline_ms / 1e3
 
 
 class _InlineIndex:

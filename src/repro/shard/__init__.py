@@ -16,7 +16,8 @@ distances, same tie ordering, per-shard
 * :mod:`repro.shard.merge` — the exact top-k merge by
   ``(distance, global id)`` (:func:`merge_results`,
   :func:`merge_batches`), with the bit-identity argument in its module
-  docstring.
+  docstring.  Mutable serving folds its memtable and tombstones through
+  the same merge.
 * :mod:`repro.shard.server` — :class:`ShardedIndexServer`, the
   :class:`~repro.serve.server.IndexServer` request pipeline (one
   batcher, one deadline reaper, one ledger) over a fan-out that sends
@@ -27,10 +28,10 @@ distances, same tie ordering, per-shard
   unsharded-baseline measurement harness shared by the CLI and
   ``benchmarks/bench_ablation_sharding.py``.
 * :mod:`repro.shard.mutation` — :class:`MutableShardedServer`, the
-  mutation-capable coordinator: global row ids allocated centrally,
-  routed to per-shard :class:`~repro.serve.mutation.MutableIndexServer`
-  memtables by ``id % S``, with per-shard compaction/generations and
-  the same exact global merge.
+  same request pipeline over a fan-out to per-shard
+  :class:`~repro.serve.mutation.MutableBackend` memtables: global row
+  ids allocated centrally and routed by ``id % S``, per-shard
+  compaction/generations, and the same exact global merge.
 """
 
 from repro.shard.bench import ShardedComparison, compare_sharded_serving

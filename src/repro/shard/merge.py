@@ -5,6 +5,10 @@ exact top-k of *its* candidate set with local row indices; the merge
 maps local indices to global ids, pools the candidates, and re-selects
 the global top-k ordered by ``(distance, global id)``.
 
+The same merge folds a mutable server's base answer (local indices)
+with its memtable scan (global ids already) and drops the tombstoned
+rows, and it pools the answers of mutable shards.
+
 Why this is bit-identical to the unsharded index:
 
 * a point's distance to the query is a function of the point and the
@@ -45,18 +49,23 @@ from repro.search.results import (
 
 def merge_results(
     per_shard: Sequence[KnnResult],
-    shard_ids: Sequence[np.ndarray],
+    shard_ids: Sequence[np.ndarray | None],
     k: int,
+    *,
+    exclude=frozenset(),
 ) -> KnnResult:
     """Merge one query's per-shard top-k lists into the global top-k.
 
     Args:
-        per_shard: one :class:`KnnResult` per shard (*local* indices).
+        per_shard: one :class:`KnnResult` per shard.
         shard_ids: per shard, the ``(n_s,)`` global row ids mapping its
-            local row ``i`` to corpus row ``shard_ids[s][i]``.
+            local row ``i`` to corpus row ``shard_ids[s][i]``, or
+            ``None`` when that shard's answers already carry global ids.
         k: neighbors to keep after merging.  Fewer may be returned when
             the pooled candidates run short (an approximate index with
             sparse buckets), exactly like the unsharded index would.
+        exclude: global ids to drop before selection (a mutable
+            server's tombstones).
 
     Returns:
         A :class:`KnnResult` with global indices, candidates ordered by
@@ -71,9 +80,9 @@ def merge_results(
     candidates: list[tuple[float, int]] = []
     for result, ids in zip(per_shard, shard_ids):
         for neighbor in result.neighbors:
-            candidates.append(
-                (neighbor.distance, int(ids[neighbor.index]))
-            )
+            gid = neighbor.index if ids is None else int(ids[neighbor.index])
+            if gid not in exclude:
+                candidates.append((neighbor.distance, gid))
     candidates.sort()
     neighbors = tuple(
         Neighbor(index=gid, distance=distance)
@@ -87,8 +96,10 @@ def merge_results(
 
 def merge_batches(
     per_shard: Sequence[BatchKnnResult],
-    shard_ids: Sequence[np.ndarray],
+    shard_ids: Sequence[np.ndarray | None],
     k: int,
+    *,
+    exclude=frozenset(),
 ) -> BatchKnnResult:
     """Row-wise :func:`merge_results` over per-shard batch answers."""
     if len(per_shard) != len(shard_ids):
@@ -104,7 +115,10 @@ def merge_batches(
     n_rows = lengths.pop() if lengths else 0
     merged = tuple(
         merge_results(
-            [batch.results[row] for batch in per_shard], shard_ids, k
+            [batch.results[row] for batch in per_shard],
+            shard_ids,
+            k,
+            exclude=exclude,
         )
         for row in range(n_rows)
     )

@@ -1,8 +1,10 @@
-"""Sharded mutable serving: per-shard memtables behind one coordinator.
+"""Sharded mutable serving: per-shard memtables behind one pipeline.
 
 :class:`MutableShardedServer` extends the scatter-gather story to a
-mutating corpus.  The coordinator owns one
-:class:`~repro.serve.mutation.MutableIndexServer` per shard and
+mutating corpus.  It is the serving pipeline of
+:mod:`repro.serve.server` (one batcher, one deadline reaper, one
+ledger) over a :class:`~repro.shard.server._ShardFanout` to one
+:class:`~repro.serve.mutation.MutableBackend` per shard, and it
 forwards every mutation to the shard that owns the row:
 
 * the coordinator allocates **global row ids** (monotonic, never
@@ -13,41 +15,30 @@ forwards every mutation to the shard that owns the row:
 * each member keeps its own memtable, compacts its own generations
   (size- or drift-triggered, independently — one shard hot-swapping
   never blocks the others), and answers exactly for its subset;
-* a query fans out with each member's ``k`` clamped to its live row
-  count, and the per-shard answers — already in global ids — are
-  pooled and re-selected by ``(distance, global id)``, the family's
-  tie-break order.  The members partition the live rowset, so the
-  merged top-k is bit-identical to one fresh index built over all live
-  rows (see :mod:`repro.shard.merge` for the argument).
+* each coalesced batch fans out to every member, which clamps ``k`` to
+  the live rows it captured and answers in global ids; the per-shard
+  answers are pooled and re-selected by ``(distance, global id)``, the
+  family's tie-break order.  The members partition the live rowset, so
+  the merged top-k is bit-identical to one fresh index built over all
+  live rows (see :mod:`repro.shard.merge` for the argument).
 
-Only exact kinds are accepted, inherited from the per-shard servers'
-own gate.
+Only exact kinds are accepted, inherited from the members' own gate.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time
 
 import numpy as np
 
-from repro.search.results import (
-    BatchKnnResult,
-    KnnResult,
-    Neighbor,
-    combine_stats,
-    validate_corpus,
-    validate_k,
-    validate_queries,
-    validate_query,
-)
-from repro.serve.errors import DeadlineExceeded, ServerClosedError
-from repro.serve.mutation import MutableIndexServer, MutationError
-from repro.serve.server import _deadline_at
+from repro.search.results import validate_corpus
+from repro.serve.mutation import MutableBackend, MutationError
+from repro.serve.server import _ServingPipeline
+from repro.shard.server import _ShardFanout
 
 
-class MutableShardedServer:
+class MutableShardedServer(_ServingPipeline):
     """Mutation-capable scatter-gather over per-shard generation stores.
 
     Args:
@@ -59,7 +50,7 @@ class MutableShardedServer:
         n_shards: member count; fixed for the deployment's lifetime.
         kind / index_kwargs / compact_threshold / drift_threshold /
         keep_generations / n_workers: forwarded to every member
-            :class:`MutableIndexServer`.
+            :class:`~repro.serve.mutation.MutableBackend`.
         wal_sync / wal_group_ops / wal_group_interval_ms: write-ahead
             log fsync policy, forwarded to every member — each shard
             keeps its own log.  Under ``"always"`` an acknowledged op
@@ -88,6 +79,9 @@ class MutableShardedServer:
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
+        super().__init__(
+            policy=None, cache_capacity=0, default_deadline_ms=None
+        )
         self.n_shards = int(n_shards)
         self._root = os.path.abspath(root)
         member_points: list = [None] * n_shards
@@ -105,11 +99,11 @@ class MutableShardedServer:
                 member_ids[shard] = np.arange(
                     shard, corpus.shape[0], n_shards, dtype=np.intp
                 )
-        self._members: list[MutableIndexServer] = []
+        self._members: list[MutableBackend] = []
         try:
             for shard in range(n_shards):
                 self._members.append(
-                    MutableIndexServer(
+                    MutableBackend(
                         os.path.join(self._root, f"shard-{shard:03d}"),
                         member_points[shard],
                         row_ids=member_ids[shard],
@@ -141,7 +135,11 @@ class MutableShardedServer:
         self._next_row_id = max(
             member.next_row_id for member in self._members
         )
-        self._closed = False
+        # Members answer in global ids (no id map) and are drained and
+        # closed by the pipeline like worker pools.
+        self._start(
+            _ShardFanout(self._members, [None] * n_shards), self._members
+        )
 
     # -- introspection -------------------------------------------------
 
@@ -157,6 +155,8 @@ class MutableShardedServer:
     def n_live(self) -> int:
         return sum(member.n_live for member in self._members)
 
+    n_points = n_live  # what validate_k bounds a request's k by
+
     @property
     def next_row_id(self) -> int:
         """The global id the next :meth:`insert` would be assigned."""
@@ -164,7 +164,7 @@ class MutableShardedServer:
             return self._next_row_id
 
     @property
-    def members(self) -> tuple[MutableIndexServer, ...]:
+    def members(self) -> tuple[MutableBackend, ...]:
         return tuple(self._members)
 
     def owner_of(self, row_id: int) -> int:
@@ -176,8 +176,7 @@ class MutableShardedServer:
     def insert(self, vector) -> int:
         """Insert one row; the coordinator allocates its global id."""
         with self._lock:
-            if self._closed:
-                raise ServerClosedError("sharded server is closed")
+            self._require_open()
             row_id = self._next_row_id
             self._next_row_id += 1
         self._members[self.owner_of(row_id)].insert(vector, row_id=row_id)
@@ -196,106 +195,3 @@ class MutableShardedServer:
         for member in self._members:
             if member.memtable_ops > 0 or reason != "manual":
                 member.compact(reason=reason)
-
-    # -- queries -------------------------------------------------------
-
-    def query(
-        self, query, k: int = 1, *, deadline_ms: float | None = None
-    ) -> KnnResult:
-        """Exact global top-``k`` over the union of live shard rows.
-
-        ``deadline_ms`` bounds the whole request: the members are asked
-        one after another, each with the budget that remains, and a
-        spent budget raises :class:`DeadlineExceeded`.
-        """
-        vector = validate_query(query, self.dimensionality)
-        k = validate_k(k, self.n_live)
-        deadline = _deadline_at(deadline_ms, time.perf_counter())
-        per_shard = []
-        for member in self._members:
-            # A member holding fewer than k live rows contributes them
-            # all; one holding none contributes nothing.  Any global
-            # top-k row ranks in the top-k of its own shard, so
-            # clamping loses no candidate.
-            k_member = min(k, member.n_live)
-            if k_member > 0:
-                per_shard.append(member.query(
-                    vector, k_member, deadline_ms=_remaining_ms(deadline)
-                ))
-        _remaining_ms(deadline)  # a late answer is not delivered
-        return _merge_global(per_shard, k)
-
-    def query_batch(
-        self, queries, k: int = 1, *, deadline_ms: float | None = None
-    ) -> BatchKnnResult:
-        """Row-wise :meth:`query` through per-member explicit batches.
-
-        ``deadline_ms`` bounds the whole batch, as in :meth:`query`.
-        """
-        array = validate_queries(queries, self.dimensionality)
-        k = validate_k(k, self.n_live)
-        deadline = _deadline_at(deadline_ms, time.perf_counter())
-        per_shard = []
-        for member in self._members:
-            k_member = min(k, member.n_live)
-            if k_member > 0 and array.shape[0] > 0:
-                per_shard.append(member.query_batch(
-                    array, k_member, deadline_ms=_remaining_ms(deadline)
-                ))
-        _remaining_ms(deadline)
-        results = tuple(
-            _merge_global(
-                [batch.results[row] for batch in per_shard], k
-            )
-            for row in range(array.shape[0])
-        )
-        return BatchKnnResult(
-            results=results,
-            stats=combine_stats(r.stats for r in results),
-        )
-
-    # -- lifecycle -----------------------------------------------------
-
-    def close(self) -> None:
-        """Close every member server (idempotent)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        for member in self._members:
-            member.close()
-
-    def __enter__(self) -> "MutableShardedServer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def _remaining_ms(deadline: float | None) -> float | None:
-    """The budget left before ``deadline``; raises once it is spent."""
-    if deadline is None:
-        return None
-    remaining = (deadline - time.perf_counter()) * 1e3
-    if remaining <= 0.0:
-        raise DeadlineExceeded(
-            "request deadline passed before every shard answered"
-        )
-    return remaining
-
-
-def _merge_global(per_shard, k: int) -> KnnResult:
-    """Pool per-shard answers (already global ids) into the top-``k``."""
-    candidates = [
-        (neighbor.distance, neighbor.index)
-        for result in per_shard
-        for neighbor in result.neighbors
-    ]
-    candidates.sort()
-    return KnnResult(
-        neighbors=tuple(
-            Neighbor(index=gid, distance=distance)
-            for distance, gid in candidates[:k]
-        ),
-        stats=combine_stats(result.stats for result in per_shard),
-    )

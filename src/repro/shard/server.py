@@ -82,8 +82,11 @@ def _shard_error(position: int, error: BaseException) -> Exception:
 class _ShardFanout:
     """Batch backend: every shard answers the batch, merged exactly.
 
-    ``backends[s]`` answers shard ``s`` in its local row ids;
-    ``shard_ids[s]`` maps them to global ids.
+    ``backends[s]`` answers shard ``s`` in its local row ids, and
+    ``shard_ids[s]`` maps them to global ids; ``k`` is clamped to the
+    shard's size.  A ``None`` id map marks a shard whose answers already
+    carry global ids and whose backend clamps ``k`` itself (a mutable
+    shard, to the live rows it captured).
     """
 
     def __init__(self, backends: list, shard_ids: list) -> None:
@@ -121,7 +124,9 @@ class _ShardFanout:
                 break
             try:
                 answer = backend.submit(
-                    queries, min(k, ids.size), deadline=deadline
+                    queries,
+                    k if ids is None else min(k, ids.size),
+                    deadline=deadline,
                 )
             except Exception as error:
                 _fail(merged, _shard_error(position, error))
@@ -182,7 +187,7 @@ class ShardedIndexServer(_ServingPipeline):
         )
         self.manifest = manifest
         self.kind = manifest.kind
-        fingerprint = ",".join(
+        self.fingerprint = ",".join(
             snapshot_fingerprint(spec.snapshot_path)
             for spec in manifest.shards
         )
@@ -218,7 +223,7 @@ class ShardedIndexServer(_ServingPipeline):
             for pool in pools:
                 pool.close()
             raise
-        self._start(_ShardFanout(backends, shard_ids), fingerprint, pools)
+        self._start(_ShardFanout(backends, shard_ids), pools)
 
     # -- introspection -------------------------------------------------
 

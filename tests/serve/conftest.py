@@ -5,9 +5,14 @@ failure-path tests deliberately create hung workers; a bug in the
 recovery code could otherwise wedge the whole test session.  Since the
 environment has no ``pytest-timeout``, an autouse SIGALRM watchdog
 gives every test in this package a hard wall-clock budget on POSIX.
+A second autouse guard fails any test that leaves a ``repro-*`` thread
+or a worker process running.
 """
 
+import multiprocessing
 import signal
+import threading
+import time
 
 import pytest
 
@@ -35,3 +40,32 @@ def _watchdog(request):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+_LEAK_GRACE_SECONDS = 1.0
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_threads_or_workers():
+    """Fail a test that leaves a serving thread or worker process behind.
+
+    After the test (and every fixture it requested) has finished, no
+    ``repro-*`` thread started during the test may still be alive and
+    no child process may remain; stragglers get a short grace period
+    to exit.  A leak here means some error path skipped a ``close()``.
+    """
+    before = set(threading.enumerate())
+    yield
+    give_up = time.monotonic() + _LEAK_GRACE_SECONDS
+    while True:
+        threads = sorted(
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("repro-") and thread not in before
+        )
+        children = multiprocessing.active_children()
+        if not (threads or children) or time.monotonic() > give_up:
+            break
+        time.sleep(0.02)
+    assert not threads, f"leaked serving threads: {threads}"
+    assert not children, f"leaked child processes: {children}"

@@ -14,10 +14,12 @@ tie-breaks) to the uninterrupted server, for both the single server
 and a 3-shard coordinator.
 """
 
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -313,6 +315,34 @@ class TestWalDamage:
             handle.write(bytes(blob))
         with pytest.raises(GenerationError, match="mid-stream"):
             MutableIndexServer(root, kind="kdtree")
+
+    def test_refused_resume_leaves_nothing_running(
+        self, tmp_path, trace_data
+    ):
+        """A log refused on resume starts no thread and no worker."""
+        corpus, _, rng = trace_data
+        root = os.path.join(tmp_path, "refused")
+        with MutableIndexServer(
+            root, corpus, kind="kdtree", n_workers=1
+        ) as server:
+            for _ in range(4):
+                server.insert(rng.standard_normal(5))
+            wal_path = server.store.active().wal_path
+        with open(wal_path, "rb") as handle:
+            blob = bytearray(handle.read())
+        blob[20] ^= 0xFF  # inside the first record, history damaged
+        with open(wal_path, "wb") as handle:
+            handle.write(bytes(blob))
+        before = set(threading.enumerate())
+        with pytest.raises(GenerationError, match="mid-stream"):
+            MutableIndexServer(root, kind="kdtree", n_workers=1)
+        started = [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("repro-") and thread not in before
+        ]
+        assert started == []
+        assert multiprocessing.active_children() == []
 
     def test_semantic_corruption_refused(self, tmp_path, trace_data):
         """A well-framed log whose ops contradict the base is corrupt."""

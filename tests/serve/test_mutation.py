@@ -12,7 +12,9 @@ non-exact kinds refused at construction, stale row ids refused,
 double-deletes raise, and an emptied rowset refuses to compact.
 """
 
+import multiprocessing
 import os
+import sys
 import threading
 
 import numpy as np
@@ -36,6 +38,10 @@ def _assert_matches_reference(server, probes, k=3):
         assert [n.distance for n in served.neighbors] == [
             n.distance for n in expected.neighbors
         ]
+
+
+def _threads(name):
+    return sum(thread.name == name for thread in threading.enumerate())
 
 
 @pytest.fixture
@@ -185,6 +191,100 @@ class TestIdentityThroughMutation:
             assert server.n_compactions >= 1
             assert server.store.active().reason == "size"
             _assert_matches_reference(server, probes)
+
+
+class TestOnePipeline:
+    def test_pooled_identity_across_compaction(self, tmp_path, data):
+        """A worker-pool base is pinned, drained and closed across swaps."""
+        corpus, probes, rng = data
+        with MutableIndexServer(
+            os.path.join(tmp_path, "pool"), corpus, kind="kdtree",
+            n_workers=1,
+        ) as server:
+            for _ in range(6):
+                server.insert(rng.standard_normal(5))
+            server.delete(2)
+            _assert_matches_reference(server, probes)
+            server.compact()
+            _assert_matches_reference(server, probes)
+            server.delete(5)  # a base row of the new generation
+            _assert_matches_reference(server, probes)
+        assert multiprocessing.active_children() == []
+
+    def test_pooled_batches_in_flight_across_hot_swap(self, tmp_path, data):
+        """Batches merged on the pool's thread release the old view."""
+        corpus, probes, rng = data
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with MutableIndexServer(
+                os.path.join(tmp_path, "swap"), corpus, n_workers=1
+            ) as server:
+                for _ in range(6):
+                    server.insert(rng.standard_normal(5))
+                server.delete(4)
+                reference, live_ids = live_reference_index(server)
+                expected = [
+                    [
+                        (int(live_ids[n.index]), n.distance)
+                        for n in reference.query(probe, 3).neighbors
+                    ]
+                    for probe in probes
+                ]
+                submitted = []
+
+                def hammer():
+                    submitted.extend(
+                        (row, server.submit(probes[row], 3))
+                        for _ in range(5)
+                        for row in range(len(probes))
+                    )
+
+                threads = [threading.Thread(target=hammer) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                server.compact()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                for row, future in submitted:
+                    got = future.result(timeout=60)
+                    assert [
+                        (n.index, n.distance) for n in got.neighbors
+                    ] == expected[row]
+                assert len(submitted) == 4 * 5 * len(probes)
+                assert server.generation_id == 1
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_one_batcher_and_one_reaper_across_compaction(
+        self, tmp_path, data
+    ):
+        corpus, probes, rng = data
+        names = ("repro-microbatcher", "repro-deadline-reaper")
+        before = [_threads(name) for name in names]
+        with MutableIndexServer(
+            os.path.join(tmp_path, "one"), corpus
+        ) as server:
+            server.query(probes[0], 3, deadline_ms=60_000)
+            server.insert(rng.standard_normal(5))
+            server.compact()
+            server.query(probes[1], 3, deadline_ms=60_000)
+            during = [_threads(name) for name in names]
+        assert [d - b for d, b in zip(during, before)] == [1, 1]
+
+    def test_ledger_survives_compaction(self, tmp_path, data):
+        corpus, probes, rng = data
+        with MutableIndexServer(
+            os.path.join(tmp_path, "ledger"), corpus
+        ) as server:
+            for probe in probes[:5]:
+                server.query(probe, 3)
+            server.insert(rng.standard_normal(5))
+            server.compact()
+            for probe in probes[:5]:
+                server.query(probe, 3)
+            assert server.stats().n_requests == 10
 
 
 class TestDrift:

@@ -1,12 +1,17 @@
 """Shared fixtures for the sharding tests.
 
-The sharded coordinator runs the same real threads (and optionally
-worker processes) as the serving stack, and its failure-path tests
-deliberately kill member servers; the same SIGALRM watchdog used by
-``tests/serve`` keeps a recovery bug from wedging the session.
+The sharded servers run the same real threads (and optionally
+worker processes) as the serving stack, and their failure-path tests
+inject dead shards, slow members and tight deadlines; the same
+SIGALRM watchdog used by ``tests/serve`` keeps a recovery bug from
+wedging the session, and the same leak guard fails any test that
+leaves a ``repro-*`` thread or a worker process running.
 """
 
+import multiprocessing
 import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -35,6 +40,35 @@ def _watchdog(request):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+_LEAK_GRACE_SECONDS = 1.0
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_threads_or_workers():
+    """Fail a test that leaves a serving thread or worker process behind.
+
+    After the test (and every fixture it requested) has finished, no
+    ``repro-*`` thread started during the test may still be alive and
+    no child process may remain; stragglers get a short grace period
+    to exit.  A leak here means some error path skipped a ``close()``.
+    """
+    before = set(threading.enumerate())
+    yield
+    give_up = time.monotonic() + _LEAK_GRACE_SECONDS
+    while True:
+        threads = sorted(
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("repro-") and thread not in before
+        )
+        children = multiprocessing.active_children()
+        if not (threads or children) or time.monotonic() > give_up:
+            break
+        time.sleep(0.02)
+    assert not threads, f"leaked serving threads: {threads}"
+    assert not children, f"leaked child processes: {children}"
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 """Sharded mutable serving: the global merge equals one fresh index.
 
-:class:`MutableShardedServer` partitions the live rowset over member
-:class:`MutableIndexServer`\\ s by ``row_id % n_shards`` and re-selects
+:class:`MutableShardedServer` partitions the live rowset over per-shard
+memtable backends by ``row_id % n_shards`` and re-selects
 the global top-k by ``(distance, global id)``.  Because the members
 partition the rowset exactly, the merged answer must be bit-identical
 to a single index freshly built over all live rows — these tests drive
@@ -10,7 +10,9 @@ mutation streams and check that at every step, plus the routing rules
 compaction, and restart-resume with id continuation.
 """
 
+import multiprocessing
 import os
+import threading
 import time
 
 import numpy as np
@@ -41,6 +43,23 @@ def _assert_matches_fresh(server, corpus_rows, probes, k=3):
         assert [n.distance for n in served.neighbors] == [
             n.distance for n in expected.neighbors
         ]
+
+
+def _assert_batch_matches_fresh(server, corpus_rows, probes, k=4):
+    rows, ids = _live_state(corpus_rows)
+    batch = server.query_batch(probes, k)
+    expected = build_index(server.kind, rows).query_batch(probes, k)
+    for served, want in zip(batch.results, expected.results):
+        assert [n.index for n in served.neighbors] == [
+            ids[n.index] for n in want.neighbors
+        ]
+        assert [n.distance for n in served.neighbors] == [
+            n.distance for n in want.neighbors
+        ]
+
+
+def _threads(name):
+    return sum(thread.name == name for thread in threading.enumerate())
 
 
 @pytest.fixture
@@ -175,10 +194,9 @@ class TestServingContracts:
             os.path.join(tmp_path, "t"), corpus, n_shards=3
         ) as server:
             # Each member alone fits the 100 ms budget; three in a row
-            # do not.
+            # do not.  A member's batch entry point is its submit.
             for member in server.members:
-                for name in ("query", "query_batch"):
-                    setattr(member, name, _slowed(getattr(member, name), 0.06))
+                member.submit = _slowed(member.submit, 0.06)
             with pytest.raises(DeadlineExceeded):
                 server.query(probes[0], 3, deadline_ms=100)
             with pytest.raises(DeadlineExceeded):
@@ -198,6 +216,50 @@ class TestServingContracts:
             server.delete(0)
         with pytest.raises(ServerClosedError):
             server.query(probes[0], 1)
+
+
+class TestOnePipeline:
+    def test_one_batcher_and_one_reaper(self, tmp_path, data):
+        corpus, probes, _ = data
+        names = ("repro-microbatcher", "repro-deadline-reaper")
+        before = [_threads(name) for name in names]
+        with MutableShardedServer(
+            os.path.join(tmp_path, "one"), corpus, n_shards=3
+        ) as server:
+            for probe in probes:
+                server.query(probe, 3, deadline_ms=60_000)
+            during = [_threads(name) for name in names]
+        assert [d - b for d, b in zip(during, before)] == [1, 1]
+
+    def test_ledger_counts_every_answered_request(self, tmp_path, data):
+        corpus, probes, rng = data
+        with MutableShardedServer(
+            os.path.join(tmp_path, "ledger"), corpus, n_shards=3
+        ) as server:
+            for probe in probes:
+                server.query(probe, 3)
+            server.insert(rng.standard_normal(4))
+            server.compact_all()
+            for probe in probes:
+                server.query(probe, 3)
+            assert server.stats().n_requests == 2 * len(probes)
+
+    def test_pooled_query_batch_identity(self, tmp_path, data):
+        corpus, probes, rng = data
+        live = {gid: corpus[gid] for gid in range(30)}
+        with MutableShardedServer(
+            os.path.join(tmp_path, "pool"), corpus, n_shards=3,
+            n_workers=1,
+        ) as server:
+            for _ in range(5):
+                row = rng.standard_normal(4)
+                live[server.insert(row)] = row
+            server.delete(0)
+            del live[0]
+            _assert_batch_matches_fresh(server, live, probes)
+            server.compact_all()
+            _assert_batch_matches_fresh(server, live, probes)
+        assert multiprocessing.active_children() == []
 
 
 class TestShardedResume:
