@@ -403,11 +403,58 @@ def _command_serve_bench_mutate(args) -> int:
     return 0 if comparison.identical else 1
 
 
-def _command_serve_bench(args) -> int:
+def _compare_served(args, policy):
+    """Build the corpus and index, serve them, compare against a loop."""
     import tempfile
 
-    from repro.serve import BatchPolicy
     from repro.serve.bench import compare_serving
+
+    rng = np.random.default_rng(args.seed)
+    corpus = rng.standard_normal((args.n, args.dims))
+    queries = rng.standard_normal((args.queries, args.dims))
+    index = _index_classes()[args.index](corpus)
+    heartbeat = args.heartbeat_timeout if args.heartbeat_timeout > 0 else None
+    with tempfile.TemporaryDirectory() as workdir:
+        if args.shards > 1:
+            from repro.shard import build_shards
+            from repro.shard.bench import compare_sharded_serving
+
+            manifest = build_shards(
+                corpus,
+                os.path.join(workdir, "shards"),
+                args.shards,
+                kind=args.index,
+                method=args.shard_method,
+                seed=args.seed,
+            )
+            return compare_sharded_serving(
+                index,
+                manifest,
+                queries,
+                args.k,
+                n_workers=args.workers,
+                policy=policy,
+                cache_capacity=args.cache_size,
+                deadline_ms=args.deadline_ms,
+                heartbeat_timeout=heartbeat,
+            )
+        path = os.path.join(workdir, f"{args.index}.npz")
+        index.save(path)
+        return compare_serving(
+            index,
+            path,
+            queries,
+            args.k,
+            n_workers=args.workers,
+            policy=policy,
+            cache_capacity=args.cache_size,
+            deadline_ms=args.deadline_ms,
+            heartbeat_timeout=heartbeat,
+        )
+
+
+def _command_serve_bench(args) -> int:
+    from repro.serve import BatchPolicy
 
     if args.mutate:
         return _command_serve_bench_mutate(args)
@@ -435,49 +482,12 @@ def _command_serve_bench(args) -> int:
         raise SystemExit(
             f"error: --deadline-ms must be positive, got {args.deadline_ms}"
         )
-    rng = np.random.default_rng(args.seed)
-    corpus = rng.standard_normal((args.n, args.dims))
-    queries = rng.standard_normal((args.queries, args.dims))
-    index = _index_classes()[args.index](corpus)
-    heartbeat = args.heartbeat_timeout if args.heartbeat_timeout > 0 else None
-    with tempfile.TemporaryDirectory() as workdir:
-        if sharded:
-            from repro.shard import build_shards
-            from repro.shard.bench import compare_sharded_serving
-
-            manifest = build_shards(
-                corpus,
-                os.path.join(workdir, "shards"),
-                args.shards,
-                kind=args.index,
-                method=args.shard_method,
-                seed=args.seed,
-            )
-            comparison = compare_sharded_serving(
-                index,
-                manifest,
-                queries,
-                args.k,
-                n_workers=args.workers,
-                policy=policy,
-                cache_capacity=args.cache_size,
-                deadline_ms=args.deadline_ms,
-                heartbeat_timeout=heartbeat,
-            )
-        else:
-            path = os.path.join(workdir, f"{args.index}.npz")
-            index.save(path)
-            comparison = compare_serving(
-                index,
-                path,
-                queries,
-                args.k,
-                n_workers=args.workers,
-                policy=policy,
-                cache_capacity=args.cache_size,
-                deadline_ms=args.deadline_ms,
-                heartbeat_timeout=heartbeat,
-            )
+    try:
+        comparison = _compare_served(args, policy)
+    except ValueError as error:
+        # A bad --n, --k or --cache-size surfaces here, from the index
+        # or server that rejects it.
+        raise SystemExit(f"error: {error}") from None
     report = comparison.report
     histogram = ", ".join(
         f"{size}x{count}"

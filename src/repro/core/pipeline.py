@@ -90,16 +90,12 @@ class SimilaritySearchPipeline:
         reduced = self.reducer.transform(vector[np.newaxis, :])[0]
         return self._index.query(reduced, k=k)
 
-    def query_batch(
-        self, queries, k: int = 1, *, n_workers: int | None = None
-    ) -> BatchKnnResult:
+    def query_batch(self, queries, k: int = 1) -> BatchKnnResult:
         """k-NN for each row of ``queries`` via the index's batch engine.
 
         Returns a :class:`BatchKnnResult` — iterable of per-query
         :class:`KnnResult` objects (so existing ``for result in …`` code
         keeps working) with aggregated :class:`QueryStats` on top.
-        ``n_workers`` sets the thread fan-out for tree-structured
-        indexes; the vectorized indexes (bruteforce, vafile) ignore it.
         """
         self._require_fitted()
         array = np.asarray(queries, dtype=np.float64)
@@ -109,4 +105,4 @@ class SimilaritySearchPipeline:
                 f"{array.shape}"
             )
         reduced = self.reducer.transform(array)
-        return self._index.query_batch(reduced, k=k, n_workers=n_workers)
+        return self._index.query_batch(reduced, k=k)

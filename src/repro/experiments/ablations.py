@@ -38,12 +38,6 @@ from repro.search.igrid import IGridIndex
 from repro.search.kdtree import KdTreeIndex
 from repro.search.lsh import LshIndex
 from repro.search.rtree import RTreeIndex
-
-# Batch fan-out for the evaluation helpers that answer query batches
-# through an index (e.g. recall-vs-exact): os.cpu_count()-bounded via
-# the shared executor, explicit here so the width is set end to end
-# rather than implied by a helper's internals.
-_BATCH_WORKERS = 4
 from repro.search.vafile import VAFileIndex
 
 _INDEX_FAMILIES = [
@@ -420,11 +414,7 @@ def lsh_experiment(seed: int = 0) -> ExperimentResult:
             "LSH on full 166d",
             float(np.mean([r.stats.points_scanned for r in lsh_results])),
             label_match(lsh_results),
-            float(
-                lsh.recall_against_exact(
-                    full[query_rows], k=3, n_workers=_BATCH_WORKERS
-                )
-            ),
+            float(lsh.recall_against_exact(full[query_rows], k=3)),
         )
     ]
 

@@ -1,43 +1,28 @@
 """Shared batch-query execution for the exact k-NN indexes.
 
 Every exact index exposes ``query_batch(queries, k)`` returning a
-:class:`~repro.search.results.BatchKnnResult`.  Two execution strategies
-live here:
+:class:`~repro.search.results.BatchKnnResult`.  The tree-based indexes,
+whose traversal state (recursion, priority queues) does not vectorize,
+answer through :func:`sequential_query_batch`, which loops
+``index.query`` over the rows.  The matrix-friendly indexes (brute
+force, VA-file) override ``query_batch`` with truly vectorized
+implementations instead — see :mod:`repro.search.bruteforce` and
+:mod:`repro.search.vafile`.
 
-* :func:`sequential_query_batch` — loop ``index.query`` over the rows.
-  The default for the tree-based indexes, whose traversal state
-  (recursion, priority queues) does not vectorize.
-* :func:`threaded_query_batch` — split the rows into contiguous chunks
-  and fan the chunks out over a process-lifetime shared
-  ``ThreadPoolExecutor``.  Queries are read-only over a static corpus,
-  so they are trivially safe to run concurrently; the leaf scans and
-  bound computations are numpy calls that release the GIL, which is
-  where the overlap comes from.  The executor is created once and
-  reused — a serving process answering thousands of small batches must
-  not pay thread spawn/teardown per call — and the effective fan-out is
-  capped at the number of query rows, so tiny batches never produce
-  idle workers.  Requests wider than the shared pool
-  (:data:`_POOL_WIDTH` threads) still complete; concurrency simply
-  saturates at the pool width.
-
-The matrix-friendly indexes (brute force, VA-file) override
-``query_batch`` with truly vectorized implementations instead — see
-:mod:`repro.search.bruteforce` and :mod:`repro.search.vafile`.
-
-Both strategies preserve query order and produce results bit-identical
-to calling ``query`` row by row; the batch API never trades accuracy
-for throughput.
+Either way the batch preserves query order and is bit-identical to
+calling ``query`` row by row; the batch API never trades accuracy for
+throughput.
 
 This module also hosts the two vectorized scan primitives those
 matrix-friendly paths share:
 
 * :class:`GramScanner` — blocked float32/float64 Gram-expansion scoring
-  of query rows against a static row matrix, behind a ``dtype`` knob,
-  with a conservative per-query error margin.  The scores only *select*
-  candidates; exact arithmetic stays with the caller, which is what
-  makes the memory-lean float32 path safe.  Brute force uses it over
-  the full corpus; the projection-screened index reuses it as its
-  stage-1 reduced-space kernel.
+  of query rows against a static row matrix, with a conservative
+  per-query error margin.  The scores only *select* candidates; exact
+  arithmetic stays with the caller, which is what makes the memory-lean
+  float32 path safe.  Brute force uses it over the full corpus; the
+  projection-screened index reuses it as its stage-1 reduced-space
+  kernel.
 * :func:`refine_masked_candidates` — exact float64 top-k over per-row
   candidate masks, with the stable tie-break (equal distances resolve
   to the lower corpus index) every index in the family guarantees.
@@ -55,16 +40,10 @@ matrix-friendly paths share:
 
 from __future__ import annotations
 
-import itertools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from repro.search.results import (
     BatchKnnResult,
-    KnnResult,
     combine_stats,
     validate_k,
     validate_queries,
@@ -75,11 +54,8 @@ from repro.search.results import (
 _REFINE_BLOCK_ENTRIES = 4_194_304
 
 # Beyond this squared magnitude a float32 expansion can overflow to inf,
-# so the scanner falls back to float64 regardless of the requested dtype
-# — soundness beats the caller's bytes preference.
+# so the scanner falls back to float64 — soundness beats scan bytes.
 _F32_MAGNITUDE_LIMIT = 1e30
-
-GRAM_DTYPES = ("auto", "float32", "float64")
 
 REFINE_KERNELS = ("gather", "gemm")
 
@@ -111,17 +87,11 @@ class GramScanner:
             float32 (a float32 matrix is scored as stored — its
             quantization is part of the distances the margin covers
             relative to the stored values).
-        dtype: ``"auto"`` scores in float32 whenever the squared
-            magnitudes stay far from float32 overflow, ``"float32"``
-            requests the memory-lean path explicitly (the overflow
-            guard still wins — an unsound scan is never produced), and
-            ``"float64"`` forces full-precision scoring.
         sq_norms: optional precomputed float64 ``||p||^2`` per row
             (computed here when omitted).
     """
 
-    def __init__(self, matrix, *, dtype: str = "auto", sq_norms=None) -> None:
-        self._dtype = validate_gram_dtype(dtype)
+    def __init__(self, matrix, *, sq_norms=None) -> None:
         self._matrix = matrix
         if sq_norms is None:
             wide = np.asarray(matrix, dtype=np.float64)
@@ -135,18 +105,16 @@ class GramScanner:
         self._matrix_f64: np.ndarray | None = None
 
     @property
-    def dtype(self) -> str:
-        """The requested scoring dtype knob (``auto``/``float32``/``float64``)."""
-        return self._dtype
-
-    @property
     def max_sq_norm(self) -> float:
         return self._max_sq_norm
 
     def uses_float32(self, q_sq: np.ndarray) -> bool:
-        """Whether a block with these query magnitudes scores in float32."""
-        if self._dtype == "float64":
-            return False
+        """Whether a block with these query magnitudes scores in float32.
+
+        Float32 whenever the squared magnitudes stay far from float32
+        overflow; otherwise float64, so an unsound scan is never
+        produced.
+        """
         return (
             self._max_sq_norm < _F32_MAGNITUDE_LIMIT
             and float(q_sq.max(initial=0.0)) < _F32_MAGNITUDE_LIMIT
@@ -189,15 +157,6 @@ class GramScanner:
             approx += self._sq_norms
             margin = 1e-14 * (d + 100.0) * (q_sq + self._max_sq_norm) + 1e-30
         return approx, margin
-
-
-def validate_gram_dtype(dtype: str) -> str:
-    """Validate the Gram-expansion scoring knob."""
-    if dtype not in GRAM_DTYPES:
-        raise ValueError(
-            f"dtype must be one of {GRAM_DTYPES}, got {dtype!r}"
-        )
-    return dtype
 
 
 def validate_refine_kernel(kernel: str) -> str:
@@ -421,86 +380,12 @@ def _refine_gemm_block(
     )
     return _stable_topk(row_of, gids, exact_flat, b, k)
 
-# Width of the process-wide shared executor.  Beyond the CPU count,
-# extra GIL-releasing numpy threads stop helping; the floor keeps some
-# overlap available on small machines and the cap bounds idle threads
-# on large ones.  Threads are created lazily by the executor, so an
-# unused width costs nothing.
-_POOL_WIDTH = min(32, max(4, os.cpu_count() or 1))
-
-_POOL_LOCK = threading.Lock()
-_POOL: ThreadPoolExecutor | None = None
-
-
-def _shared_executor() -> ThreadPoolExecutor:
-    """The process-lifetime thread pool all batch calls share."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(
-                max_workers=_POOL_WIDTH, thread_name_prefix="repro-batch"
-            )
-        return _POOL
-
-
-def validate_n_workers(n_workers: int | None) -> int | None:
-    """Validate the optional thread-pool width (``None`` = sequential)."""
-    if n_workers is None:
-        return None
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be positive, got {n_workers}")
-    return int(n_workers)
-
 
 def sequential_query_batch(index, queries, k: int) -> BatchKnnResult:
     """Answer a batch by looping ``index.query`` over the rows."""
     array = validate_queries(queries, index.dimensionality)
     k = validate_k(k, index.n_points)
     results = tuple(index.query(row, k=k) for row in array)
-    return _package(results)
-
-
-def _query_rows(index, rows, k: int) -> list[KnnResult]:
-    return [index.query(row, k=k) for row in rows]
-
-
-def threaded_query_batch(
-    index, queries, k: int, n_workers: int
-) -> BatchKnnResult:
-    """Answer a batch by fanning row chunks out over the shared pool."""
-    array = validate_queries(queries, index.dimensionality)
-    k = validate_k(k, index.n_points)
-    rows = array.shape[0]
-    if rows == 0:
-        return _package(())
-    # Never spawn more chunks than rows: a 3-row batch with
-    # n_workers=16 runs as 3 single-row tasks, not 13 idle ones.
-    width = min(n_workers, rows)
-    if width == 1:
-        return _package(tuple(index.query(row, k=k) for row in array))
-    bounds = [rows * i // width for i in range(width + 1)]
-    pool = _shared_executor()
-    futures = [
-        pool.submit(_query_rows, index, array[bounds[i] : bounds[i + 1]], k)
-        for i in range(width)
-    ]
-    results = tuple(
-        itertools.chain.from_iterable(f.result() for f in futures)
-    )
-    return _package(results)
-
-
-def dispatch_query_batch(
-    index, queries, k: int, n_workers: int | None
-) -> BatchKnnResult:
-    """Route to the sequential or threaded strategy by ``n_workers``."""
-    n_workers = validate_n_workers(n_workers)
-    if n_workers is None or n_workers == 1:
-        return sequential_query_batch(index, queries, k)
-    return threaded_query_batch(index, queries, k, n_workers)
-
-
-def _package(results: tuple[KnnResult, ...]) -> BatchKnnResult:
     return BatchKnnResult(
         results=results, stats=combine_stats(r.stats for r in results)
     )

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.search.batch import (
-    GramScanner,
-    refine_masked_candidates,
-    validate_gram_dtype,
-)
+from repro.search.batch import GramScanner, refine_masked_candidates
 from repro.search.results import (
     BatchKnnResult,
     KnnResult,
@@ -36,30 +32,19 @@ class BruteForceIndex:
 
     Args:
         points: ``(n, d)`` corpus.
-        dtype: scoring dtype for the batched Gram-expansion scan —
-            ``"auto"`` (float32 whenever magnitudes permit, the
-            default), ``"float32"`` (request the memory-lean path; an
-            overflow guard still falls back to float64 when squared
-            magnitudes approach float32 infinity), or ``"float64"``.
-            The scores only select candidates — survivors are
-            recomputed in float64 — so every choice returns
-            bit-identical answers; the knob trades scan bytes only.
     """
 
     # Snapshot kind: read by the registry, snapshot dispatch, and
     # the :class:`repro.search.Index` protocol.
     kind = "bruteforce"
 
-    def __init__(self, points, dtype: str = "auto") -> None:
+    def __init__(self, points) -> None:
         self._points = validate_corpus(points)
-        self._dtype = validate_gram_dtype(dtype)
         # ||p||^2 per corpus row, for the batched Gram expansion.
         self._sq_norms = np.einsum(
             "nd,nd->n", self._points, self._points
         )
-        self._scanner = GramScanner(
-            self._points, dtype=self._dtype, sq_norms=self._sq_norms
-        )
+        self._scanner = GramScanner(self._points, sq_norms=self._sq_norms)
 
     @property
     def n_points(self) -> int:
@@ -69,21 +54,12 @@ class BruteForceIndex:
     def dimensionality(self) -> int:
         return self._points.shape[1]
 
-    @property
-    def dtype(self) -> str:
-        """The batched-scan scoring knob this index was built with."""
-        return self._dtype
-
     def save(self, path: str) -> None:
         """Persist the index to ``path`` (``.npz`` snapshot)."""
         write_snapshot(
             path,
             self.kind,
-            {
-                "points": self._points,
-                "sq_norms": self._sq_norms,
-                "scan_dtype": np.bytes_(self._dtype.encode()),
-            },
+            {"points": self._points, "sq_norms": self._sq_norms},
         )
 
     @classmethod
@@ -102,16 +78,10 @@ class BruteForceIndex:
         index = cls.__new__(cls)
         index._points = data["points"]
         index._sq_norms = data["sq_norms"]
-        # Snapshots written before the dtype knob existed carry no
-        # scan_dtype member; they scored with the "auto" heuristic.
-        if "scan_dtype" in data:
-            index._dtype = bytes(data["scan_dtype"]).decode()
-        else:
-            index._dtype = "auto"
-        validate_gram_dtype(index._dtype)
-        index._scanner = GramScanner(
-            index._points, dtype=index._dtype, sq_norms=index._sq_norms
-        )
+        # Older snapshots may carry a ``scan_dtype`` member naming the
+        # scan's scoring dtype; it never changed an answer, so it is
+        # ignored.
+        index._scanner = GramScanner(index._points, sq_norms=index._sq_norms)
         return index
 
     def query(self, query, k: int = 1) -> KnnResult:
@@ -136,27 +106,20 @@ class BruteForceIndex:
         stats = QueryStats(points_scanned=self.n_points)
         return KnnResult(neighbors=neighbors, stats=stats)
 
-    def query_batch(
-        self, queries, k: int = 1, *, n_workers: int | None = None
-    ) -> BatchKnnResult:
+    def query_batch(self, queries, k: int = 1) -> BatchKnnResult:
         """Vectorized k-NN for every row of ``queries``.
 
         One BLAS matrix multiply produces all squared distances at once
-        via the :class:`~repro.search.batch.GramScanner` kernel (in the
-        dtype the index was built with); ``argpartition`` narrows each
-        row to its top-k candidates.  Because the expansion loses a few
+        via the :class:`~repro.search.batch.GramScanner` kernel (in
+        float32 whenever magnitudes permit); ``argpartition`` narrows
+        each row to its top-k candidates.  Because the expansion loses a few
         ulps to cancellation, candidate selection keeps a conservative
         margin around the k-th partitioned value and the survivors'
         distances are recomputed with the same subtract-square
         arithmetic the sequential path uses — so the returned neighbors,
         distances, and tie-breaks are bit-identical to looping
         :meth:`query`.
-
-        ``n_workers`` is accepted for protocol uniformity across the
-        index family and ignored: the vectorized path outruns any thread
-        fan-out.
         """
-        del n_workers
         array = validate_queries(queries, self.dimensionality)
         k = validate_k(k, self.n_points)
         block = max(1, _BLOCK_ENTRIES // self.n_points)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.search.batch import dispatch_query_batch
+from repro.search.batch import sequential_query_batch
 from repro.search.results import (
     BatchKnnResult,
     KnnResult,
@@ -265,10 +265,8 @@ class IGridIndex:
         )
         return KnnResult(neighbors=neighbors, stats=stats)
 
-    def query_batch(
-        self, queries, k: int = 1, *, n_workers: int | None = None
-    ) -> BatchKnnResult:
+    def query_batch(self, queries, k: int = 1) -> BatchKnnResult:
         """Top-``k`` by IGrid similarity for every row of ``queries``;
-        bit-identical to looping :meth:`query`.  ``n_workers`` > 1 fans
-        the rows out over a thread pool."""
-        return dispatch_query_batch(self, queries, k, n_workers)
+        bit-identical to looping :meth:`query`, which it calls row by
+        row."""
+        return sequential_query_batch(self, queries, k)

@@ -24,7 +24,7 @@ import heapq
 
 import numpy as np
 
-from repro.search.batch import dispatch_query_batch
+from repro.search.batch import sequential_query_batch
 from repro.search.results import (
     BatchKnnResult,
     KnnResult,
@@ -309,13 +309,11 @@ class KdTreeIndex:
         )
         return KnnResult(neighbors=neighbors, stats=stats)
 
-    def query_batch(
-        self, queries, k: int = 1, *, n_workers: int | None = None
-    ) -> BatchKnnResult:
+    def query_batch(self, queries, k: int = 1) -> BatchKnnResult:
         """k-NN for every row of ``queries``; bit-identical to looping
-        :meth:`query`.  ``n_workers`` > 1 fans the rows out over a
-        thread pool (the traversal itself does not vectorize)."""
-        return dispatch_query_batch(self, queries, k, n_workers)
+        :meth:`query`, which it calls row by row (the traversal itself
+        does not vectorize)."""
+        return sequential_query_batch(self, queries, k)
 
     def range_query(self, query, radius: float) -> KnnResult:
         """All corpus points within ``radius`` of ``query``.

@@ -61,7 +61,6 @@ import numpy as np
 from repro.search.batch import (
     pad_rows,
     refine_masked_candidates,
-    validate_n_workers,
     validate_refine_kernel,
 )
 from repro.search.results import (
@@ -599,20 +598,15 @@ class LshIndex:
         k = validate_k(k, self.n_points)
         return self._query_block(vector.reshape(1, -1), k)[0]
 
-    def query_batch(
-        self, queries, k: int = 1, *, n_workers: int | None = None
-    ) -> BatchKnnResult:
+    def query_batch(self, queries, k: int = 1) -> BatchKnnResult:
         """Approximate k-NN for every row of ``queries``.
 
         Candidate generation is vectorized end to end — one hashing
         matmul, one packed-key ``searchsorted`` per table for all rows
         and probes at once, one deduplication — and the probed members
         re-rank through the shared exact refine kernel, so the results
-        are bit-identical to looping :meth:`query`.  ``n_workers`` is
-        validated for protocol uniformity with the dispatching indexes
-        and then ignored: the vectorized path outruns a thread fan-out.
+        are bit-identical to looping :meth:`query`.
         """
-        validate_n_workers(n_workers)
         array = validate_queries(queries, self.dimensionality)
         k = validate_k(k, self.n_points)
         block = max(1, _BLOCK_ENTRIES // self.n_points)
@@ -625,21 +619,17 @@ class LshIndex:
         )
 
     def recall_against_exact(
-        self, queries, k: int = 3, *, n_workers: int | None = None, reference=None
+        self, queries, k: int = 3, *, reference=None
     ) -> float:
         """Mean fraction of true k-NN retrieved, over a query batch.
 
-        ``n_workers`` controls the batch fan-out on both sides of the
-        comparison (the exact reference and this index), so callers can
-        set the batch width end to end.  ``reference`` optionally reuses
-        a prebuilt exact index over the same corpus (probe-count sweeps
-        should not rebuild it per configuration).  LSH is approximate by
-        design, so the value is a tunable metric (``exact=False``), not
-        a contract.
+        ``reference`` optionally reuses a prebuilt exact index over the
+        same corpus (probe-count sweeps should not rebuild it per
+        configuration).  LSH is approximate by design, so the value is a
+        tunable metric (``exact=False``), not a contract.
         """
         from repro.search.recall import recall_against_exact
 
         return recall_against_exact(
-            self, queries, k=k, n_workers=n_workers, exact=False,
-            reference=reference,
+            self, queries, k=k, exact=False, reference=reference
         )

@@ -313,7 +313,7 @@ class ProjectionScreenedIndex:
     def _finish_init(self) -> None:
         """Derived state shared by the constructor and :meth:`load`."""
         self._scanner = GramScanner(
-            self._reduced, dtype="float32", sq_norms=self._reduced_sq_norms
+            self._reduced, sq_norms=self._reduced_sq_norms
         )
         self._block_entries = _BLOCK_ENTRIES
 
@@ -540,21 +540,14 @@ class ProjectionScreenedIndex:
         k = validate_k(k, self.n_points)
         return self._query_block(vector.reshape(1, -1), k)[0]
 
-    def query_batch(
-        self, queries, k: int = 1, *, n_workers: int | None = None
-    ) -> BatchKnnResult:
+    def query_batch(self, queries, k: int = 1) -> BatchKnnResult:
         """Batched exact k-NN; bit-identical to looping :meth:`query`.
 
         The reduced-space screen amortizes over the block (one float32
         BLAS multiply per block), and each query's counters are
         assigned exactly once regardless of how the batch splits into
         blocks — ``stats.pruning_fraction`` stays honest.
-
-        ``n_workers`` is accepted for protocol uniformity across the
-        index family and ignored: the vectorized screen outruns any
-        thread fan-out.
         """
-        del n_workers
         array = validate_queries(queries, self.dimensionality)
         k = validate_k(k, self.n_points)
         block = max(1, self._block_entries // self.n_points)
@@ -567,8 +560,7 @@ class ProjectionScreenedIndex:
         )
 
     def recall_against_exact(
-        self, queries, k: int = 3, *, n_workers: int | None = None,
-        reference=None,
+        self, queries, k: int = 3, *, reference=None
     ) -> float:
         """Recall vs the exact linear scan — always 1.0, by contract.
 
@@ -580,6 +572,5 @@ class ProjectionScreenedIndex:
         from repro.search.recall import recall_against_exact
 
         return recall_against_exact(
-            self, queries, k=k, n_workers=n_workers, exact=True,
-            reference=reference,
+            self, queries, k=k, exact=True, reference=reference
         )

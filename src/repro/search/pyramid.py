@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.search.batch import dispatch_query_batch
+from repro.search.batch import sequential_query_batch
 from repro.search.results import (
     BatchKnnResult,
     KnnResult,
@@ -286,10 +286,8 @@ class PyramidIndex:
             "may be degenerate"
         )
 
-    def query_batch(
-        self, queries, k: int = 1, *, n_workers: int | None = None
-    ) -> BatchKnnResult:
+    def query_batch(self, queries, k: int = 1) -> BatchKnnResult:
         """k-NN for every row of ``queries``; bit-identical to looping
-        :meth:`query`.  ``n_workers`` > 1 fans the rows out over a
-        thread pool (radius expansion does not vectorize)."""
-        return dispatch_query_batch(self, queries, k, n_workers)
+        :meth:`query`, which it calls row by row (radius expansion does
+        not vectorize)."""
+        return sequential_query_batch(self, queries, k)

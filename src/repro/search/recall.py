@@ -33,7 +33,6 @@ def recall_against_exact(
     queries,
     k: int = 3,
     *,
-    n_workers: int | None = None,
     exact: bool = False,
     reference=None,
 ) -> float:
@@ -44,9 +43,6 @@ def recall_against_exact(
             ``query_batch``).
         queries: ``(q, d)`` batch, or a single ``(d,)`` vector.
         k: neighbors per query.
-        n_workers: batch fan-out applied to both sides of the comparison
-            (the exact reference and ``index``), so callers control the
-            batch width end to end.
         exact: when True, a recall below 1.0 raises
             :class:`ExactnessViolation` naming the worst query instead of
             returning — exactness is a contract, not a metric.
@@ -67,8 +63,8 @@ def recall_against_exact(
     batch = np.asarray(queries, dtype=np.float64)
     if batch.ndim == 1:
         batch = batch.reshape(1, -1)
-    truth_batch = reference.query_batch(batch, k=k, n_workers=n_workers)
-    mine_batch = index.query_batch(batch, k=k, n_workers=n_workers)
+    truth_batch = reference.query_batch(batch, k=k)
+    mine_batch = index.query_batch(batch, k=k)
     recalls = [
         len(set(truth.indices.tolist()) & set(mine.indices.tolist())) / k
         for truth, mine in zip(truth_batch.results, mine_batch.results)

@@ -339,9 +339,7 @@ class VAFileIndex:
             upper_sq.reshape(1, -1), k,
         )[0]
 
-    def query_batch(
-        self, queries, k: int = 1, *, n_workers: int | None = None
-    ) -> BatchKnnResult:
+    def query_batch(self, queries, k: int = 1) -> BatchKnnResult:
         """Batched k-NN with vectorized phase-1 bound computation.
 
         The bound matrices for a whole block of queries come from one
@@ -350,12 +348,7 @@ class VAFileIndex:
         and phase 2 refines each block's survivors through the shared
         exact kernel.  Results are bit-identical to looping
         :meth:`query`.
-
-        ``n_workers`` is accepted for protocol uniformity across the
-        index family and ignored: the shared phase-1 scan is the batch
-        win here.
         """
-        del n_workers
         array = validate_queries(queries, self.dimensionality)
         k = validate_k(k, self.n_points)
         block = max(

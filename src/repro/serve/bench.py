@@ -143,10 +143,8 @@ def compare_serving(
     n_workers: int,
     policy: BatchPolicy | None = None,
     cache_capacity: int = 0,
-    start_method: str | None = None,
     deadline_ms: float | None = None,
     heartbeat_timeout: float | None = 30.0,
-    max_resubmits: int = 1,
 ) -> ServingComparison:
     """Measure closed-loop vs micro-batched serving for one index.
 
@@ -154,7 +152,7 @@ def compare_serving(
     loads ``snapshot_path``, which must be a snapshot of that same
     index so the bit-identity check is meaningful.  The hardening knobs
     (``deadline_ms``, admission bounds on ``policy``,
-    ``heartbeat_timeout``, ``max_resubmits``) are forwarded so
+    ``heartbeat_timeout``) are forwarded so
     ``repro serve-bench`` can exercise degradation behavior; shed or
     failed requests are excluded from the identity check and show up in
     the report counters instead.
@@ -166,9 +164,7 @@ def compare_serving(
         n_workers=n_workers,
         policy=policy,
         cache_capacity=cache_capacity,
-        start_method=start_method,
         heartbeat_timeout=heartbeat_timeout,
-        max_resubmits=max_resubmits,
     ) as server:
         served_seconds, served_results, report = served_run(
             server, array, k, deadline_ms=deadline_ms

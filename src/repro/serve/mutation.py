@@ -48,7 +48,7 @@ never dropped or mis-answered:
    and the old base backend is drained and then closed only after its
    last pinned batch released it.  The pipeline's one deadline reaper
    keeps releasing deadlined callers throughout;
-4. old generations beyond ``keep_generations`` are pruned.
+4. all but the newest two generations are pruned.
 
 Because compaction rebuilds from scratch, a ``projscreen`` generation
 refits its screening projection over the live corpus — re-reduction is
@@ -151,7 +151,6 @@ class _View:
         _, self.backend = _snapshot_backend(
             self.info.snapshot_path,
             n_workers,
-            mmap_points=True,
             index_loader=None,
             heartbeat_timeout=30.0,  # IndexServer's default
         )
@@ -211,16 +210,17 @@ class MutableBackend:
         drift_threshold: captured-energy ratio below which a drift
             compaction is triggered (projscreen only); ``None``
             disables drift monitoring.
-        keep_generations: generations retained after each compaction.
         wal_sync: write-ahead-log fsync policy, one of
             :data:`~repro.serve.wal.SYNC_POLICIES` — ``"always"``
             fsyncs every append (an acknowledged op survives any
-            crash), ``"group"`` fsyncs every ``wal_group_ops`` appends
-            or ``wal_group_interval_ms`` milliseconds (bounded loss
-            window), ``"off"`` leaves flushing to the OS.  A clean
-            :meth:`close` syncs under every policy.
-        wal_group_ops / wal_group_interval_ms: the ``"group"``
-            commit thresholds.
+            crash), ``"group"`` fsyncs every 64 appends or 50
+            milliseconds (:class:`~repro.serve.wal.WalWriter`'s
+            defaults; bounded loss window), ``"off"`` leaves flushing
+            to the OS.  A clean :meth:`close` syncs under every policy.
+
+    Each compaction keeps the newest two generations and prunes the
+    rest (:meth:`~repro.search.snapshot.GenerationStore.prune`'s
+    default).
     """
 
     def __init__(
@@ -234,10 +234,7 @@ class MutableBackend:
         n_workers: int = 0,
         compact_threshold: int | None = None,
         drift_threshold: float | None = None,
-        keep_generations: int = 2,
         wal_sync: str = "always",
-        wal_group_ops: int = 64,
-        wal_group_interval_ms: float = 50.0,
     ) -> None:
         if wal_sync not in SYNC_POLICIES:
             raise ValueError(
@@ -266,21 +263,12 @@ class MutableBackend:
                 "drift_threshold monitors the projscreen screening "
                 f"basis; it does not apply to kind {kind!r}"
             )
-        if keep_generations < 1:
-            raise ValueError(
-                f"keep_generations must be positive, got {keep_generations}"
-            )
         self._kind = kind
         self._index_kwargs = dict(index_kwargs or {})
         self._n_workers = int(n_workers)
         self._compact_threshold = compact_threshold
         self._drift_threshold = drift_threshold
-        self._keep_generations = keep_generations
-        self._wal_options = {
-            "sync_policy": wal_sync,
-            "group_ops": wal_group_ops,
-            "group_interval_ms": wal_group_interval_ms,
-        }
+        self._wal_sync = wal_sync
         self._store = GenerationStore(root)
 
         resuming = self._store.exists()
@@ -359,8 +347,8 @@ class MutableBackend:
                 replay = None
         self._wal = WalWriter(
             info.wal_path,
+            sync_policy=wal_sync,
             truncate_to=replay.valid_bytes if replay is not None else None,
-            **self._wal_options,
         )
         try:
             if replay is not None and replay.ops:
@@ -426,7 +414,7 @@ class MutableBackend:
     @property
     def wal_sync(self) -> str:
         """The write-ahead log's fsync policy."""
-        return self._wal_options["sync_policy"]
+        return self._wal_sync
 
     @property
     def wal_appends(self) -> int:
@@ -660,7 +648,7 @@ class MutableBackend:
                         if gid in base_set or gid in survivors
                     }
                     new_wal = WalWriter(
-                        pending.wal_path, **self._wal_options
+                        pending.wal_path, sync_policy=self._wal_sync
                     )
                     for gid, row in survivors.items():
                         new_wal.append_insert(gid, row)
@@ -702,7 +690,7 @@ class MutableBackend:
             # then is its base backend drained and closed.
             old_view.drained.wait()
             old_view.close()
-            self._store.prune(keep=self._keep_generations)
+            self._store.prune()
             return info
 
     # -- lifecycle -----------------------------------------------------
@@ -908,9 +896,8 @@ class MutableIndexServer(IndexServer):
         policy / default_deadline_ms: as for :class:`IndexServer`.
         **options: the other :class:`MutableBackend` keywords —
             ``row_ids``, ``kind``, ``index_kwargs``, ``n_workers``,
-            ``compact_threshold``, ``drift_threshold``,
-            ``keep_generations``, ``wal_sync``, ``wal_group_ops`` and
-            ``wal_group_interval_ms``.
+            ``compact_threshold``, ``drift_threshold`` and
+            ``wal_sync``.
     """
 
     def __init__(

@@ -32,9 +32,9 @@ Reliability model:
   drives least-loaded routing, so new requests prefer healthy workers
   during the detection window;
 * resubmission is bounded: a batch that has already been resubmitted
-  ``max_resubmits`` times is failed with :class:`WorkerError` instead
-  of being handed to yet another worker, so a poison batch cannot cycle
-  the pool forever;
+  :data:`_MAX_RESUBMITS` times (once) is failed with
+  :class:`WorkerError` instead of being handed to yet another worker,
+  so a poison batch cannot cycle the pool forever;
 * a batch submitted with a ``deadline`` whose response has not arrived
   by then fails with :class:`~repro.serve.errors.DeadlineExceeded`
   (the worker's late answer, if any, is discarded — never delivered as
@@ -68,6 +68,22 @@ from repro.search.snapshot import snapshot_kind
 from repro.serve.errors import DeadlineExceeded, ServingError, _complete, _fail
 
 
+# Second argument of every ``index_loader(snapshot_path, mmap_points)``
+# call: the corpus is always memory-mapped (see the module docstring).
+_MMAP_POINTS = True
+
+# How many times one batch may be handed to a replacement worker after
+# crashes or hangs before it fails with WorkerError: one bounded retry.
+_MAX_RESUBMITS = 1
+
+# Workers start by "fork" where the platform offers it (fast, and shares
+# the parent's page-cache warmth), otherwise by "spawn".
+try:
+    _CONTEXT = multiprocessing.get_context("fork")
+except ValueError:
+    _CONTEXT = multiprocessing.get_context("spawn")
+
+
 class WorkerError(ServingError):
     """A batch failed in (or never reached, or was abandoned by) a worker."""
 
@@ -80,12 +96,12 @@ def _load_snapshot_index(snapshot_path: str, mmap_points: bool):
 
 
 def _worker_main(
-    snapshot_path: str, mmap_points: bool, requests, responses, index_loader
+    snapshot_path: str, requests, responses, index_loader
 ) -> None:
     """Worker loop: load the snapshot once, answer batches forever."""
     loader = index_loader if index_loader is not None else _load_snapshot_index
     try:
-        index = loader(snapshot_path, mmap_points)
+        index = loader(snapshot_path, _MMAP_POINTS)
     except Exception as error:
         responses.put((None, "fatal", f"{type(error).__name__}: {error}"))
         return
@@ -140,27 +156,18 @@ class _Inflight:
         self.resubmits = 0
 
 
-def _default_start_method() -> str:
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
-
-
 class WorkerPool:
     """A fixed-size pool of snapshot-serving worker processes.
+
+    Workers start by ``"fork"`` where the platform offers it, otherwise
+    by ``"spawn"``.  A dead worker is always replaced and its unanswered
+    batches resubmitted, each at most :data:`_MAX_RESUBMITS` times.
 
     Args:
         snapshot_path: ``.npz`` index snapshot every worker loads; it is
             validated up front so a typo fails in the caller, not in N
             workers.
         n_workers: worker processes (>= 1).
-        mmap_points: forwarded to the worker-side loader; the default
-            ``True`` is what makes the pool memory-cheap.
-        start_method: multiprocessing start method; default prefers
-            ``"fork"`` (fast, shares the parent's page-cache warmth) and
-            falls back to ``"spawn"`` where fork is unavailable.
-        restart_crashed: replace dead workers and resubmit their
-            unanswered batches (default).  When ``False`` a crash fails
-            the affected futures with :class:`WorkerError` instead.
         heartbeat_timeout: seconds a worker may hold unanswered work
             without producing *any* response before it is declared
             hung, killed, and replaced (batches with live futures are
@@ -172,9 +179,6 @@ class WorkerPool:
             compute time of a *single* batch.  ``None`` disables hang
             detection — a genuinely stuck worker then strands its
             batches, which is the pre-hardening behavior.
-        max_resubmits: how many times one batch may be handed to a
-            replacement worker after crashes/hangs before it is failed
-            with :class:`WorkerError` (default 1 — one bounded retry).
         index_loader: picklable ``loader(snapshot_path, mmap_points)``
             callable each worker uses instead of the default snapshot
             load.  This is the fault-injection seam used by
@@ -190,11 +194,7 @@ class WorkerPool:
         snapshot_path: str,
         n_workers: int = 1,
         *,
-        mmap_points: bool = True,
-        start_method: str | None = None,
-        restart_crashed: bool = True,
         heartbeat_timeout: float | None = None,
-        max_resubmits: int = 1,
         index_loader=None,
     ) -> None:
         if n_workers < 1:
@@ -204,21 +204,11 @@ class WorkerPool:
                 "heartbeat_timeout must be positive or None, "
                 f"got {heartbeat_timeout}"
             )
-        if max_resubmits < 0:
-            raise ValueError(
-                f"max_resubmits must be non-negative, got {max_resubmits}"
-            )
         snapshot_kind(snapshot_path)  # raises SnapshotError early
         self.snapshot_path = snapshot_path
         self.n_workers = int(n_workers)
-        self.mmap_points = bool(mmap_points)
-        self.restart_crashed = bool(restart_crashed)
         self.heartbeat_timeout = heartbeat_timeout
-        self.max_resubmits = int(max_resubmits)
         self._index_loader = index_loader
-        self._ctx = multiprocessing.get_context(
-            start_method or _default_start_method()
-        )
         self._lock = threading.Lock()
         self._inflight: dict[int, _Inflight] = {}
         self._ids = itertools.count()
@@ -237,12 +227,11 @@ class WorkerPool:
     # -- lifecycle -----------------------------------------------------
 
     def _start_slot(self) -> _Slot:
-        requests = self._ctx.Queue()
-        responses = self._ctx.Queue()
-        process = self._ctx.Process(
+        requests = _CONTEXT.Queue()
+        responses = _CONTEXT.Queue()
+        process = _CONTEXT.Process(
             target=_worker_main,
-            args=(self.snapshot_path, self.mmap_points, requests, responses,
-                  self._index_loader),
+            args=(self.snapshot_path, requests, responses, self._index_loader),
             daemon=True,
         )
         process.start()
@@ -462,14 +451,6 @@ class WorkerPool:
                 self._resolve(slot, item)
             if slot.fatal:
                 continue  # known-unserviceable snapshot; never restart
-            exitcode = slot.process.exitcode
-            if not self.restart_crashed:
-                slot.fatal = True
-                self._fail_slot(
-                    slot,
-                    WorkerError(f"worker died (exit code {exitcode})"),
-                )
-                continue
             replacement = self._start_slot()
             doomed: list[_Inflight] = []
             with self._lock:
@@ -481,7 +462,7 @@ class WorkerPool:
                     entry = self._inflight.get(batch_id)
                     if entry is None:
                         continue
-                    if entry.resubmits >= self.max_resubmits:
+                    if entry.resubmits >= _MAX_RESUBMITS:
                         # Poison-batch guard: this batch has already
                         # consumed its retry budget across worker
                         # failures; fail it loudly instead of cycling
@@ -498,7 +479,7 @@ class WorkerPool:
                     entry.future,
                     WorkerError(
                         f"batch abandoned after {entry.resubmits + 1} worker "
-                        f"failures (max_resubmits={self.max_resubmits})"
+                        f"failures (at most {_MAX_RESUBMITS} resubmit)"
                     ),
                 )
 

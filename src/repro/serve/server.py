@@ -39,9 +39,9 @@ submitted future resolves:
 * ``policy.max_pending`` bounds admission; an overflowing request is
   shed per ``policy.shed_policy`` with
   :class:`~repro.serve.errors.ServerOverloaded`.
-* crashed workers restart and their batches are resubmitted (bounded by
-  ``max_resubmits``); a *hung* worker is detected by the
-  ``heartbeat_timeout`` and killed into the same recovery path.
+* crashed workers restart and their batches are resubmitted (at most
+  once each); a *hung* worker is detected by the ``heartbeat_timeout``
+  and killed into the same recovery path.
 * submission after ``close()`` raises
   :class:`~repro.serve.errors.ServerClosedError`.
 
@@ -82,7 +82,7 @@ from repro.serve.errors import (
     _complete,
     _fail,
 )
-from repro.serve.pool import WorkerPool, _load_snapshot_index
+from repro.serve.pool import _MMAP_POINTS, WorkerPool, _load_snapshot_index
 from repro.serve.stats import ServingReport, ServingStats
 
 # How long close() waits for a pool's in-flight batches before failing them.
@@ -418,7 +418,9 @@ class IndexServer(_ServingPipeline):
     """Serve single-query k-NN traffic from an index snapshot.
 
     Args:
-        snapshot_path: ``.npz`` snapshot of any of the eight index kinds.
+        snapshot_path: ``.npz`` snapshot of any of the nine index kinds;
+            its corpus is memory-mapped, in workers and for the
+            in-process/metadata copy alike.
         n_workers: worker processes.  ``0`` serves in-process (no IPC,
             still micro-batched); ``>= 1`` runs a :class:`WorkerPool`
             whose workers share the mmap'd corpus through the page
@@ -427,9 +429,6 @@ class IndexServer(_ServingPipeline):
             (default :class:`BatchPolicy`).
         cache_capacity: LRU result-cache entries; ``0`` disables the
             cache.
-        mmap_points: map the corpus from disk instead of loading it
-            (both in workers and for the in-process/metadata copy).
-        start_method / restart_crashed: forwarded to :class:`WorkerPool`.
         heartbeat_timeout: seconds a worker may hold unanswered work
             without producing any response before it is declared hung
             and killed into the restart path (default 30; ``None``
@@ -438,8 +437,6 @@ class IndexServer(_ServingPipeline):
             ``n_workers >= 1`` — in-process flushes run on the batcher
             thread and cannot be preempted, though the deadline reaper
             still releases deadlined callers while one executes.
-        max_resubmits: retry budget per batch across worker
-            crashes/hangs before its requests fail with ``WorkerError``.
         default_deadline_ms: deadline applied to every ``submit`` that
             does not pass its own; ``None`` means no deadline.
         index_loader: fault-injection/test seam — a picklable
@@ -457,11 +454,7 @@ class IndexServer(_ServingPipeline):
         n_workers: int = 1,
         policy: BatchPolicy | None = None,
         cache_capacity: int = 0,
-        mmap_points: bool = True,
-        start_method: str | None = None,
-        restart_crashed: bool = True,
         heartbeat_timeout: float | None = 30.0,
-        max_resubmits: int = 1,
         default_deadline_ms: float | None = None,
         index_loader=None,
     ) -> None:
@@ -481,12 +474,8 @@ class IndexServer(_ServingPipeline):
         self._local, backend = _snapshot_backend(
             snapshot_path,
             n_workers,
-            mmap_points=mmap_points,
             index_loader=index_loader,
-            start_method=start_method,
-            restart_crashed=restart_crashed,
             heartbeat_timeout=heartbeat_timeout,
-            max_resubmits=max_resubmits,
         )
         pools = [backend] if isinstance(backend, WorkerPool) else []
         self._start(backend, pools)
@@ -524,9 +513,8 @@ def _snapshot_backend(
     snapshot_path: str,
     n_workers: int,
     *,
-    mmap_points: bool,
     index_loader,
-    **pool_options,
+    heartbeat_timeout: float | None,
 ):
     """``(local index, batch backend)`` serving one snapshot.
 
@@ -540,15 +528,14 @@ def _snapshot_backend(
     """
     if n_workers == 0:
         loader = index_loader if index_loader is not None else _load_snapshot_index
-        local = loader(snapshot_path, mmap_points)
+        local = loader(snapshot_path, _MMAP_POINTS)
         return local, _InlineIndex(local)
-    local = _load_snapshot_index(snapshot_path, mmap_points)
+    local = _load_snapshot_index(snapshot_path, _MMAP_POINTS)
     return local, WorkerPool(
         snapshot_path,
         n_workers,
-        mmap_points=mmap_points,
+        heartbeat_timeout=heartbeat_timeout,
         index_loader=index_loader,
-        **pool_options,
     )
 
 

@@ -81,10 +81,8 @@ def compare_sharded_serving(
     n_workers: int = 1,
     policy=None,
     cache_capacity: int = 0,
-    start_method: str | None = None,
     deadline_ms: float | None = None,
     heartbeat_timeout: float | None = 30.0,
-    max_resubmits: int = 1,
 ) -> ShardedComparison:
     """Measure unsharded closed-loop vs sharded scatter-gather serving.
 
@@ -102,9 +100,7 @@ def compare_sharded_serving(
         n_workers=n_workers,
         policy=policy,
         cache_capacity=cache_capacity,
-        start_method=start_method,
         heartbeat_timeout=heartbeat_timeout,
-        max_resubmits=max_resubmits,
     ) as server:
         served_seconds, served_results, report = served_run(
             server, array, k, deadline_ms=deadline_ms

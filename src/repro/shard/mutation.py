@@ -49,16 +49,15 @@ class MutableShardedServer(_ServingPipeline):
             ``None`` to resume existing stores.
         n_shards: member count; fixed for the deployment's lifetime.
         kind / index_kwargs / compact_threshold / drift_threshold /
-        keep_generations / n_workers: forwarded to every member
+        n_workers: forwarded to every member
             :class:`~repro.serve.mutation.MutableBackend`.
-        wal_sync / wal_group_ops / wal_group_interval_ms: write-ahead
-            log fsync policy, forwarded to every member — each shard
-            keeps its own log.  Under ``"always"`` an acknowledged op
-            is durable on its owning shard, so resume (which recovers
-            the global id counter as the max over member counters)
-            never reuses an id even after a partial-shard crash; under
-            ``"group"``/``"off"`` a crash can drop each shard's
-            unsynced window independently.
+        wal_sync: write-ahead log fsync policy, forwarded to every
+            member — each shard keeps its own log.  Under ``"always"``
+            an acknowledged op is durable on its owning shard, so resume
+            (which recovers the global id counter as the max over member
+            counters) never reuses an id even after a partial-shard
+            crash; under ``"group"``/``"off"`` a crash can drop each
+            shard's unsynced window independently.
     """
 
     def __init__(
@@ -72,10 +71,7 @@ class MutableShardedServer(_ServingPipeline):
         n_workers: int = 0,
         compact_threshold: int | None = None,
         drift_threshold: float | None = None,
-        keep_generations: int = 2,
         wal_sync: str = "always",
-        wal_group_ops: int = 64,
-        wal_group_interval_ms: float = 50.0,
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
@@ -112,10 +108,7 @@ class MutableShardedServer(_ServingPipeline):
                         n_workers=n_workers,
                         compact_threshold=compact_threshold,
                         drift_threshold=drift_threshold,
-                        keep_generations=keep_generations,
                         wal_sync=wal_sync,
-                        wal_group_ops=wal_group_ops,
-                        wal_group_interval_ms=wal_group_interval_ms,
                     )
                 )
         except BaseException:

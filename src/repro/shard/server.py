@@ -150,8 +150,7 @@ class ShardedIndexServer(_ServingPipeline):
             :class:`~repro.serve.batcher.BatchPolicy`).
         cache_capacity: LRU entries of merged answers; ``0`` disables
             the cache.
-        mmap_points / start_method / restart_crashed /
-        heartbeat_timeout / max_resubmits / index_loader: as for
+        heartbeat_timeout / index_loader: as for
             :class:`~repro.serve.server.IndexServer`, applied to every
             shard (``index_loader`` is called with each shard's
             snapshot path).
@@ -166,11 +165,7 @@ class ShardedIndexServer(_ServingPipeline):
         n_workers: int = 1,
         policy=None,
         cache_capacity: int = 0,
-        mmap_points: bool = True,
-        start_method: str | None = None,
-        restart_crashed: bool = True,
         heartbeat_timeout: float | None = 30.0,
-        max_resubmits: int = 1,
         default_deadline_ms: float | None = None,
         index_loader=None,
     ) -> None:
@@ -200,12 +195,8 @@ class ShardedIndexServer(_ServingPipeline):
                 local, backend = _snapshot_backend(
                     spec.snapshot_path,
                     n_workers,
-                    mmap_points=mmap_points,
                     index_loader=index_loader,
-                    start_method=start_method,
-                    restart_crashed=restart_crashed,
                     heartbeat_timeout=heartbeat_timeout,
-                    max_resubmits=max_resubmits,
                 )
                 if isinstance(backend, WorkerPool):
                     pools.append(backend)

@@ -90,9 +90,7 @@ class TestPipeline:
         pipeline = SimilaritySearchPipeline(
             reducer=CoherenceReducer(n_components=4), index_type="kdtree"
         ).fit(small_dataset.features)
-        batch = pipeline.query_batch(
-            small_dataset.features[:8], k=3, n_workers=2
-        )
+        batch = pipeline.query_batch(small_dataset.features[:8], k=3)
         for i, result in enumerate(batch):
             expected = pipeline.query(small_dataset.features[i], k=3)
             assert np.array_equal(result.indices, expected.indices)

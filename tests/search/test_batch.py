@@ -89,26 +89,6 @@ class TestBatchSequentialEquivalence:
         assert len(batch) == 0
         assert batch.stats.points_scanned == 0
 
-    def test_threaded_path_matches(self, cls, rng):
-        corpus = rng.normal(size=(80, 5))
-        index = cls(corpus)
-        queries = rng.normal(size=(17, 5))
-        assert_batch_matches_sequential(index, queries, k=3, n_workers=4)
-
-    def test_more_workers_than_rows(self, cls, rng):
-        # The fan-out is capped at the row count, and the capped path
-        # must stay bit-identical.
-        corpus = rng.normal(size=(60, 5))
-        index = cls(corpus)
-        queries = rng.normal(size=(3, 5))
-        assert_batch_matches_sequential(index, queries, k=2, n_workers=16)
-
-    def test_empty_batch_through_threaded_path(self, cls, rng):
-        corpus = rng.normal(size=(20, 3))
-        batch = cls(corpus).query_batch(np.empty((0, 3)), k=2, n_workers=4)
-        assert len(batch) == 0
-        assert batch.stats.points_scanned == 0
-
     def test_rejects_1d_queries(self, cls, rng):
         corpus = rng.normal(size=(20, 4))
         with pytest.raises(ValueError, match="2-d"):
@@ -123,31 +103,6 @@ class TestBatchSequentialEquivalence:
         corpus = rng.normal(size=(20, 4))
         with pytest.raises(ValueError, match="finite"):
             cls(corpus).query_batch(np.full((2, 4), np.nan), k=1)
-
-    def test_rejects_bad_n_workers(self, cls, rng):
-        corpus = rng.normal(size=(20, 4))
-        # Vectorized indexes ignore n_workers entirely, which is part of
-        # the protocol; only the dispatching indexes validate it.
-        if cls in (BruteForceIndex, VAFileIndex):
-            pytest.skip("vectorized index ignores n_workers")
-        with pytest.raises(ValueError, match="n_workers"):
-            cls(corpus).query_batch(np.zeros((2, 4)), k=1, n_workers=0)
-
-
-class TestSharedExecutor:
-    def test_pool_is_process_lifetime_singleton(self):
-        from repro.search.batch import _shared_executor
-
-        assert _shared_executor() is _shared_executor()
-
-    def test_repeated_threaded_batches_reuse_the_pool(self, rng):
-        # Many small threaded batches, as a serving loop issues them;
-        # all must stay bit-identical while sharing one executor.
-        corpus = rng.normal(size=(50, 4))
-        index = KdTreeIndex(corpus)
-        for _ in range(5):
-            queries = rng.normal(size=(6, 4))
-            assert_batch_matches_sequential(index, queries, k=2, n_workers=3)
 
 
 class TestVectorizedEdgeCases:

@@ -70,61 +70,45 @@ class TestBruteForceIndex:
 
 
 class TestScanDtypeKnob:
-    """The dtype knob trades scan bytes only — never answer bits."""
-
-    def test_all_dtypes_bit_identical(self, rng):
-        corpus = rng.normal(size=(120, 7))
-        corpus[40] = corpus[3]  # exact tie across the f32 boundary
-        queries = np.concatenate([corpus[:5], rng.normal(size=(9, 7))])
-        reference = BruteForceIndex(corpus, dtype="float64")
-        expected = reference.query_batch(queries, k=6)
-        for dtype in ("auto", "float32"):
-            got = BruteForceIndex(corpus, dtype=dtype).query_batch(
-                queries, k=6
-            )
-            assert np.array_equal(got.indices, expected.indices), dtype
-            assert (
-                got.distances.tobytes() == expected.distances.tobytes()
-            ), dtype
+    """The float32 scan selects candidates only — never answer bits."""
 
     def test_float32_overflow_guard_falls_back(self, rng):
         # Magnitudes whose squares pass float32 infinity must never be
-        # scored in float32, whatever the caller requested.
+        # scored in float32.
         corpus = rng.normal(size=(30, 3)) * 1e20
-        index = BruteForceIndex(corpus, dtype="float32")
+        index = BruteForceIndex(corpus)
         q_sq = np.einsum("qd,qd->q", corpus[:2], corpus[:2])
         assert not index._scanner.uses_float32(q_sq)
-        expected = BruteForceIndex(corpus, dtype="float64").query_batch(
-            corpus[:4], k=3
-        )
         got = index.query_batch(corpus[:4], k=3)
-        assert np.array_equal(got.indices, expected.indices)
-        assert got.distances.tobytes() == expected.distances.tobytes()
+        for row, result in zip(corpus[:4], got):
+            expected = index.query(row, k=3)
+            assert np.array_equal(result.indices, expected.indices)
+            assert result.distances.tobytes() == expected.distances.tobytes()
 
-    def test_rejects_unknown_dtype(self, rng):
-        with pytest.raises(ValueError, match="dtype must be one of"):
-            BruteForceIndex(rng.normal(size=(5, 2)), dtype="float16")
-
-    def test_dtype_survives_snapshot(self, rng, tmp_path):
-        corpus = rng.normal(size=(40, 4))
-        path = str(tmp_path / "bf32.npz")
-        BruteForceIndex(corpus, dtype="float32").save(path)
-        loaded = BruteForceIndex.load(path)
-        assert loaded.dtype == "float32"
-
-    def test_missing_scan_dtype_defaults_to_auto(self, rng, tmp_path):
-        # Snapshots written before the knob existed carry no scan_dtype.
+    @pytest.mark.parametrize(
+        "scan_dtype", [None, "auto", "float32", "float64"]
+    )
+    def test_old_snapshot_answers_bit_identically(
+        self, scan_dtype, rng, tmp_path
+    ):
+        # Older snapshots may carry a scan_dtype member (or none); it
+        # never changed an answer, and loading ignores it.
         from repro.search.snapshot import write_snapshot
 
-        corpus = rng.normal(size=(25, 3))
-        sq = np.einsum("nd,nd->n", corpus, corpus)
+        corpus = rng.normal(size=(60, 5))
+        corpus[40] = corpus[3]  # an exact tie
+        members = {
+            "points": corpus,
+            "sq_norms": np.einsum("nd,nd->n", corpus, corpus),
+        }
+        if scan_dtype is not None:
+            members["scan_dtype"] = np.bytes_(scan_dtype.encode())
         path = str(tmp_path / "old.npz")
-        write_snapshot(
-            path, "bruteforce", {"points": corpus, "sq_norms": sq}
-        )
+        write_snapshot(path, "bruteforce", members)
         loaded = BruteForceIndex.load(path)
-        assert loaded.dtype == "auto"
-        expected = BruteForceIndex(corpus).query_batch(corpus[:3], k=2)
-        got = loaded.query_batch(corpus[:3], k=2)
-        assert np.array_equal(got.indices, expected.indices)
-        assert got.distances.tobytes() == expected.distances.tobytes()
+        queries = np.concatenate([corpus[:4], rng.normal(size=(6, 5))])
+        got = loaded.query_batch(queries, k=4)
+        for row, result in zip(queries, got):
+            expected = loaded.query(row, k=4)
+            assert np.array_equal(result.indices, expected.indices)
+            assert result.distances.tobytes() == expected.distances.tobytes()

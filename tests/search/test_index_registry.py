@@ -16,6 +16,7 @@ factory dict.  These tests pin the contract that makes that safe:
   the registry declares a dict literal keyed by kind names.
 """
 
+import inspect
 import os
 import re
 
@@ -122,6 +123,20 @@ class TestBuildRoundTrip:
         assert built.kind == kind
         assert built.n_points == corpus.shape[0]
         assert built.dimensionality == corpus.shape[1]
+
+    @pytest.mark.parametrize("kind", INDEX_KINDS)
+    def test_query_batch_takes_the_protocol_arguments(self, kind):
+        # Exactly (queries, k=1), as Index.query_batch declares: no kind
+        # adds a batch option of its own.
+        def shape(function):
+            return [
+                (p.name, p.kind, p.default)
+                for p in inspect.signature(function).parameters.values()
+            ]
+
+        assert shape(index_class(kind).query_batch) == shape(
+            Index.query_batch
+        )
 
     @pytest.mark.parametrize("kind", INDEX_KINDS)
     def test_wrong_keyword_rejected_with_accepted_set(self, kind, corpus):

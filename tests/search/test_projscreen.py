@@ -239,10 +239,8 @@ class TestSharedRecall:
         corpus = rng.normal(size=(40, 5))
 
         class LyingIndex(BruteForceIndex):
-            def query_batch(self, queries, k=1, *, n_workers=None):
-                batch = super().query_batch(
-                    queries, k=k, n_workers=n_workers
-                )
+            def query_batch(self, queries, k=1):
+                batch = super().query_batch(queries, k=k)
                 return batch.__class__(
                     results=(batch.results[-1],) + batch.results[1:],
                     stats=batch.stats,

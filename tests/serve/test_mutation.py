@@ -463,9 +463,7 @@ class TestResume:
     def test_generations_pruned(self, tmp_path, data):
         corpus, _, rng = data
         root = os.path.join(tmp_path, "p")
-        with MutableIndexServer(
-            root, corpus, keep_generations=2
-        ) as server:
+        with MutableIndexServer(root, corpus) as server:
             for _ in range(4):
                 server.insert(rng.standard_normal(5))
                 server.compact()

@@ -93,21 +93,6 @@ class TestCrashRecovery:
             batch = pool.submit(queries, 2).result(timeout=30)
         assert_matches_local(corpus, batch, queries, 2)
 
-    def test_no_restart_marks_slot_fatal(self, snapshot, rng):
-        with WorkerPool(snapshot, 1, restart_crashed=False) as pool:
-            (pid,) = pool.worker_pids()
-            os.kill(pid, signal.SIGKILL)
-
-            def all_dead():
-                try:
-                    pool.submit(rng.normal(size=(1, 5)), 1)
-                except WorkerError:
-                    return True
-                return False
-
-            assert wait_for(all_dead)
-            assert pool.n_restarts == 0
-
 
 class TestHungWorkerRecovery:
     def test_hung_worker_is_killed_and_batch_reanswered(
@@ -186,8 +171,7 @@ class TestHungWorkerRecovery:
         # and fail the future loudly.
         loader = FaultyLoader(FaultPlan(hang_on=(1,)))
         with WorkerPool(
-            snapshot, 1, heartbeat_timeout=0.15, max_resubmits=1,
-            index_loader=loader,
+            snapshot, 1, heartbeat_timeout=0.15, index_loader=loader,
         ) as pool:
             future = pool.submit(rng.normal(size=(2, 5)), 1)
             with pytest.raises(WorkerError, match="abandoned"):

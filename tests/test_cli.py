@@ -154,6 +154,34 @@ class TestServeBenchCommand:
         with pytest.raises(SystemExit, match="workers"):
             main(["serve-bench", "--workers", "-1", "--n", "50"])
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--cache-size", "-1"), ("--k", "0"), ("--n", "0")]
+    )
+    def test_bad_value_exits_with_error_line(self, flag, value):
+        # Values the index or the server rejects end in one error line,
+        # like the checks the command makes itself, not a traceback.
+        options = {"--workers": "0", "--n": "200", "--queries": "20"}
+        options[flag] = value
+        argv = [part for item in options.items() for part in item]
+        with pytest.raises(SystemExit, match="error:"):
+            main(["serve-bench", *argv])
+
+    @pytest.mark.parametrize("workers", ["0", "1"])
+    def test_sharded_smoke(self, workers, capsys):
+        assert main(
+            [
+                "serve-bench", "--shards", "2", "--n", "120", "--dims", "4",
+                "--queries", "20", "--workers", workers,
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "sharded scatter-gather serving" in out
+        (identity,) = [
+            line for line in out.splitlines()
+            if line.startswith("bit-identical to sequential")
+        ]
+        assert identity.split("|")[1].strip() == "yes"
+
 
 class TestServeBenchMutateCommand:
     def test_mutate_smoke(self, capsys):
