@@ -5,9 +5,11 @@ Every exact index exposes ``query_batch(queries, k)`` returning a
 whose traversal state (recursion, priority queues) does not vectorize,
 answer through :func:`sequential_query_batch`, which loops
 ``index.query`` over the rows.  The matrix-friendly indexes (brute
-force, VA-file) override ``query_batch`` with truly vectorized
-implementations instead — see :mod:`repro.search.bruteforce` and
-:mod:`repro.search.vafile`.
+force, projscreen, VA-file, LSH) answer row blocks with vectorized
+kernels through :func:`blocked_query_batch` instead, and their batches
+carry the answer as arrays
+(:class:`~repro.search.results.KnnColumns`) — see
+:mod:`repro.search.bruteforce` and :mod:`repro.search.vafile`.
 
 Either way the batch preserves query order and is bit-identical to
 calling ``query`` row by row; the batch API never trades accuracy for
@@ -43,6 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.search.results import (
+    STATS_FIELDS,
     BatchKnnResult,
     combine_stats,
     validate_k,
@@ -379,6 +382,25 @@ def _refine_gemm_block(
         corpus, rows, row_of, gids, block_entries
     )
     return _stable_topk(row_of, gids, exact_flat, b, k)
+
+
+def blocked_query_batch(
+    query_block, queries: np.ndarray, k: int, block_rows: int
+) -> BatchKnnResult:
+    """Answer validated ``queries`` in blocks of ``block_rows`` rows.
+
+    ``query_block(rows, k)`` returns one block's ``(ids, distances,
+    stats)`` arrays (see :class:`~repro.search.results.KnnColumns`),
+    and each block writes its slice of the batch's arrays.
+    """
+    b = queries.shape[0]
+    ids = np.empty((b, k), dtype=np.int64)
+    distances = np.empty((b, k))
+    stats = np.empty((b, len(STATS_FIELDS)), dtype=np.int64)
+    for start in range(0, b, block_rows):
+        rows = slice(start, start + block_rows)
+        ids[rows], distances[rows], stats[rows] = query_block(queries[rows], k)
+    return BatchKnnResult.from_columns(ids, distances, stats)
 
 
 def sequential_query_batch(index, queries, k: int) -> BatchKnnResult:

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.search.batch import GramScanner, refine_masked_candidates
+from repro.search.batch import (
+    GramScanner,
+    blocked_query_batch,
+    refine_masked_candidates,
+)
 from repro.search.results import (
     BatchKnnResult,
     KnnResult,
     Neighbor,
     QueryStats,
-    combine_stats,
+    stats_block,
     validate_corpus,
     validate_k,
     validate_queries,
@@ -122,13 +126,8 @@ class BruteForceIndex:
         """
         array = validate_queries(queries, self.dimensionality)
         k = validate_k(k, self.n_points)
-        block = max(1, _BLOCK_ENTRIES // self.n_points)
-        results: list[KnnResult] = []
-        for start in range(0, array.shape[0], block):
-            results.extend(self._query_block(array[start : start + block], k))
-        return BatchKnnResult(
-            results=tuple(results),
-            stats=combine_stats(r.stats for r in results),
+        return blocked_query_batch(
+            self._query_block, array, k, max(1, _BLOCK_ENTRIES // self.n_points)
         )
 
     def _candidate_mask(
@@ -150,8 +149,10 @@ class BruteForceIndex:
         limit = kth.astype(np.float64) + 2.0 * margin
         return approx <= limit.astype(approx.dtype)[:, None]
 
-    def _query_block(self, rows: np.ndarray, k: int) -> list[KnnResult]:
-        """Exact top-k for a block of query rows (the vectorized core)."""
+    def _query_block(
+        self, rows: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact top-k for a block of query rows: ``(ids, distances, stats)``."""
         q_sq = np.einsum("qd,qd->q", rows, rows)
         mask = self._candidate_mask(rows, q_sq, k)
 
@@ -162,19 +163,8 @@ class BruteForceIndex:
             self._points, rows, mask, k, block_entries=_BLOCK_ENTRIES,
             sq_norms=self._sq_norms,
         )
-        top_distances = np.sqrt(top_squared)
-
-        results = []
-        for query_row in range(rows.shape[0]):
-            neighbors = tuple(
-                Neighbor(index=int(idx), distance=float(dist))
-                for idx, dist in zip(
-                    top_indices[query_row], top_distances[query_row]
-                )
-            )
-            stats = QueryStats(points_scanned=self.n_points)
-            results.append(KnnResult(neighbors=neighbors, stats=stats))
-        return results
+        stats = stats_block(rows.shape[0], points_scanned=self.n_points)
+        return top_indices, np.sqrt(top_squared), stats
 
     def range_query(self, query, radius: float) -> KnnResult:
         """All corpus points within ``radius`` of ``query`` (Euclidean).

@@ -59,16 +59,16 @@ import heapq
 import numpy as np
 
 from repro.search.batch import (
+    blocked_query_batch,
     pad_rows,
     refine_masked_candidates,
     validate_refine_kernel,
 )
 from repro.search.results import (
     BatchKnnResult,
+    KnnColumns,
     KnnResult,
-    Neighbor,
-    QueryStats,
-    combine_stats,
+    stats_block,
     validate_corpus,
     validate_k,
     validate_queries,
@@ -557,35 +557,30 @@ class LshIndex:
         index._finalize()
         return index
 
-    def _query_block(self, rows: np.ndarray, k: int) -> list[KnnResult]:
-        """Probe, deduplicate, and exactly re-rank one block of rows."""
+    def _query_block(
+        self, rows: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Probe, deduplicate, and exactly re-rank one block of rows.
+
+        Returns ``(ids, distances, stats)``; a row with fewer than ``k``
+        probed candidates keeps the refine kernel's ``-1`` / ``+inf``
+        padding.
+        """
         m = rows.shape[0]
         qrow, member, generated = self._candidate_block(rows)
-        counts = np.bincount(qrow, minlength=m)
         mask = np.zeros((m, self.n_points), dtype=bool)
         mask[qrow, member] = True
-        top_indices, top_squared, _ = refine_masked_candidates(
+        top_indices, top_squared, counts = refine_masked_candidates(
             self._points, rows, mask, k, kernel=self.refine_kernel
         )
-        probes_visited = self.n_tables * self.effective_probes
-        results: list[KnnResult] = []
-        for q in range(m):
-            found = min(k, int(counts[q]))
-            neighbors = tuple(
-                Neighbor(
-                    index=int(top_indices[q, j]),
-                    distance=float(np.sqrt(top_squared[q, j])),
-                )
-                for j in range(found)
-            )
-            stats = QueryStats(
-                points_scanned=int(counts[q]),
-                nodes_visited=probes_visited,
-                nodes_pruned=self.n_points - int(counts[q]),
-                candidates_generated=int(generated[q]),
-            )
-            results.append(KnnResult(neighbors=neighbors, stats=stats))
-        return results
+        stats = stats_block(
+            m,
+            points_scanned=counts,
+            nodes_visited=self.n_tables * self.effective_probes,
+            nodes_pruned=self.n_points - counts,
+            candidates_generated=generated,
+        )
+        return top_indices, np.sqrt(top_squared), stats
 
     def query(self, query, k: int = 1) -> KnnResult:
         """Approximate k-NN: rank the probed buckets' candidates exactly.
@@ -596,7 +591,7 @@ class LshIndex:
         """
         vector = validate_query(query, self.dimensionality)
         k = validate_k(k, self.n_points)
-        return self._query_block(vector.reshape(1, -1), k)[0]
+        return KnnColumns(*self._query_block(vector.reshape(1, -1), k))[0]
 
     def query_batch(self, queries, k: int = 1) -> BatchKnnResult:
         """Approximate k-NN for every row of ``queries``.
@@ -609,13 +604,9 @@ class LshIndex:
         """
         array = validate_queries(queries, self.dimensionality)
         k = validate_k(k, self.n_points)
-        block = max(1, _BLOCK_ENTRIES // self.n_points)
-        results: list[KnnResult] = []
-        for start in range(0, array.shape[0], block):
-            results.extend(self._query_block(array[start : start + block], k))
-        return BatchKnnResult(
-            results=tuple(results),
-            stats=combine_stats(r.stats for r in results),
+        return blocked_query_batch(
+            self._query_block, array, k,
+            max(1, _BLOCK_ENTRIES // self.n_points),
         )
 
     def recall_against_exact(

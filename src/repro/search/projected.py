@@ -58,16 +58,16 @@ import numpy as np
 from repro.search.batch import (
     _F32_MAGNITUDE_LIMIT,
     GramScanner,
+    blocked_query_batch,
     pad_rows,
     refine_masked_candidates,
     validate_refine_kernel,
 )
 from repro.search.results import (
     BatchKnnResult,
+    KnnColumns,
     KnnResult,
-    Neighbor,
-    QueryStats,
-    combine_stats,
+    stats_block,
     validate_corpus,
     validate_k,
     validate_queries,
@@ -474,8 +474,10 @@ class ProjectionScreenedIndex:
                 )
         return approx, margin
 
-    def _query_block(self, rows: np.ndarray, k: int) -> list[KnnResult]:
-        """Screen, prune, and refine one block of query rows."""
+    def _query_block(
+        self, rows: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Screen, prune, and refine one block: ``(ids, distances, stats)``."""
         n = self.n_points
 
         # Stage 1: blocked reduced-space scan -> lower-bound scores.
@@ -508,27 +510,16 @@ class ProjectionScreenedIndex:
             self._points, rows, mask, k,
             block_entries=self._block_entries, kernel=self.refine_kernel,
         )
-        top_distances = np.sqrt(top_squared)
-
-        results = []
-        for query_row in range(b):
-            neighbors = tuple(
-                Neighbor(index=int(idx), distance=float(dist))
-                for idx, dist in zip(
-                    top_indices[query_row], top_distances[query_row]
-                )
-            )
-            refined = int(counts[query_row])
-            stats = QueryStats(
-                points_scanned=refined,
-                nodes_pruned=n - refined,
-                reduced_rows_scanned=n,
-                # The screen admits exactly the refined rows: funnel
-                # width and refinement width coincide for this index.
-                candidates_generated=refined,
-            )
-            results.append(KnnResult(neighbors=neighbors, stats=stats))
-        return results
+        stats = stats_block(
+            b,
+            points_scanned=counts,
+            nodes_pruned=n - counts,
+            reduced_rows_scanned=n,
+            # The screen admits exactly the refined rows: funnel width
+            # and refinement width coincide for this index.
+            candidates_generated=counts,
+        )
+        return top_indices, np.sqrt(top_squared), stats
 
     def query(self, query, k: int = 1) -> KnnResult:
         """Exact k-NN for one query (screen, prune, refine).
@@ -538,7 +529,7 @@ class ProjectionScreenedIndex:
         """
         vector = validate_query(query, self.dimensionality)
         k = validate_k(k, self.n_points)
-        return self._query_block(vector.reshape(1, -1), k)[0]
+        return KnnColumns(*self._query_block(vector.reshape(1, -1), k))[0]
 
     def query_batch(self, queries, k: int = 1) -> BatchKnnResult:
         """Batched exact k-NN; bit-identical to looping :meth:`query`.
@@ -550,13 +541,9 @@ class ProjectionScreenedIndex:
         """
         array = validate_queries(queries, self.dimensionality)
         k = validate_k(k, self.n_points)
-        block = max(1, self._block_entries // self.n_points)
-        results: list[KnnResult] = []
-        for start in range(0, array.shape[0], block):
-            results.extend(self._query_block(array[start : start + block], k))
-        return BatchKnnResult(
-            results=tuple(results),
-            stats=combine_stats(r.stats for r in results),
+        return blocked_query_batch(
+            self._query_block, array, k,
+            max(1, self._block_entries // self.n_points),
         )
 
     def recall_against_exact(

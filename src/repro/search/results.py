@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -100,6 +100,10 @@ class KnnResult:
         return np.asarray([n.distance for n in self.neighbors], dtype=np.float64)
 
 
+# The per-query stats block's columns, in QueryStats declaration order.
+STATS_FIELDS = tuple(f.name for f in fields(QueryStats))
+
+
 def combine_stats(per_query: Iterable[QueryStats]) -> QueryStats:
     """Sum work accounting across queries (for batch aggregation).
 
@@ -121,6 +125,102 @@ def combine_stats(per_query: Iterable[QueryStats]) -> QueryStats:
     return total
 
 
+def stats_block(rows: int, **counters) -> np.ndarray:
+    """``(rows, 5)`` int64 per-query stats, columns in :data:`STATS_FIELDS` order.
+
+    Each keyword names a :class:`QueryStats` field and gives a scalar or
+    a ``(rows,)`` array; counters not named are zero.
+    """
+    block = np.zeros((rows, len(STATS_FIELDS)), dtype=np.int64)
+    for name, value in counters.items():
+        block[:, STATS_FIELDS.index(name)] = value
+    return block
+
+
+class KnnColumns(Sequence):
+    """A batch's per-query results, stored as three arrays.
+
+    * ``ids`` — ``(b, k)`` int64 neighbor indices, rows ascending by
+      distance;
+    * ``distances`` — ``(b, k)`` float64 distances;
+    * ``stats`` — ``(b, 5)`` int64 per-query :class:`QueryStats`
+      counters, columns in :data:`STATS_FIELDS` order.
+
+    A row with fewer than ``k`` neighbors (an LSH row with sparse
+    buckets, or fewer than ``k`` candidates) is padded at its tail with
+    id ``-1`` and distance ``+inf``.  The arrays are read-only.
+
+    As a sequence it yields one :class:`KnnResult` per row, built from
+    ``tolist()`` rows on first access and kept; the padding is dropped,
+    so ``neighbors`` holds only the found neighbors.  Slices are tuples.
+    It pickles as the three arrays, so a batch crosses a process pipe
+    without its row objects.
+    """
+
+    __slots__ = ("ids", "distances", "stats", "_rows")
+
+    def __init__(
+        self, ids: np.ndarray, distances: np.ndarray, stats: np.ndarray
+    ) -> None:
+        for array in (ids, distances, stats):
+            array.flags.writeable = False
+        self.ids = ids
+        self.distances = distances
+        self.stats = stats
+        self._rows: tuple[KnnResult, ...] | None = None
+
+    @classmethod
+    def from_results(cls, results: Sequence[KnnResult]) -> "KnnColumns":
+        """Pad per-row :class:`KnnResult` objects into the three arrays."""
+        b = len(results)
+        width = max((len(r.neighbors) for r in results), default=0)
+        ids = np.full((b, width), -1, dtype=np.int64)
+        distances = np.full((b, width), np.inf)
+        stats = np.zeros((b, len(STATS_FIELDS)), dtype=np.int64)
+        for row, result in enumerate(results):
+            found = len(result.neighbors)
+            ids[row, :found] = [n.index for n in result.neighbors]
+            distances[row, :found] = [n.distance for n in result.neighbors]
+            stats[row] = [getattr(result.stats, f) for f in STATS_FIELDS]
+        return cls(ids, distances, stats)
+
+    def _materialize(self) -> tuple[KnnResult, ...]:
+        if self._rows is None:
+            found = np.count_nonzero(self.ids >= 0, axis=1).tolist()
+            self._rows = tuple(
+                KnnResult(
+                    neighbors=tuple(map(Neighbor, ids[:n], distances[:n])),
+                    stats=QueryStats(*stats),
+                )
+                for ids, distances, stats, n in zip(
+                    self.ids.tolist(),
+                    self.distances.tolist(),
+                    self.stats.tolist(),
+                    found,
+                )
+            )
+        return self._rows
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    def __getitem__(self, item):
+        return self._materialize()[item]
+
+    def __iter__(self) -> Iterator[KnnResult]:
+        return iter(self._materialize())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (KnnColumns, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return (KnnColumns, (self.ids, self.distances, self.stats))
+
+
 @dataclass(frozen=True)
 class BatchKnnResult:
     """Results of a batch of k-NN queries, one :class:`KnnResult` per row.
@@ -131,10 +231,24 @@ class BatchKnnResult:
     summation — the natural unit for batch workloads, where
     ``stats.points_scanned / (len(batch) * n_points)`` is the batch-level
     scan fraction.
+
+    The kinds that answer through arrays store ``results`` as a
+    :class:`KnnColumns` (see :meth:`from_columns`); a batch built by
+    hand from :class:`KnnResult` objects keeps its tuple.
     """
 
-    results: tuple[KnnResult, ...]
+    results: Sequence[KnnResult]
     stats: QueryStats = field(default_factory=QueryStats)
+
+    @classmethod
+    def from_columns(
+        cls, ids: np.ndarray, distances: np.ndarray, stats: np.ndarray
+    ) -> "BatchKnnResult":
+        """A batch over :class:`KnnColumns` arrays, its stats their sum."""
+        return cls(
+            results=KnnColumns(ids, distances, stats),
+            stats=QueryStats(*stats.sum(axis=0).tolist()),
+        )
 
     def __len__(self) -> int:
         return len(self.results)
@@ -146,14 +260,27 @@ class BatchKnnResult:
         return self.results[item]
 
     @property
+    def columns(self) -> KnnColumns:
+        """The batch as :class:`KnnColumns` (hand-built rows are padded)."""
+        if isinstance(self.results, KnnColumns):
+            return self.results
+        return KnnColumns.from_results(self.results)
+
+    @property
     def indices(self) -> np.ndarray:
-        """``(q, k)`` neighbor indices (rows are queries)."""
-        return np.asarray([r.indices for r in self.results], dtype=np.intp)
+        """``(q, k)`` neighbor indices (rows are queries).
+
+        Rows short of ``k`` neighbors are padded with ``-1``.
+        """
+        return self.columns.ids
 
     @property
     def distances(self) -> np.ndarray:
-        """``(q, k)`` neighbor distances (rows are queries)."""
-        return np.asarray([r.distances for r in self.results], dtype=np.float64)
+        """``(q, k)`` neighbor distances (rows are queries).
+
+        Rows short of ``k`` neighbors are padded with ``+inf``.
+        """
+        return self.columns.distances
 
 
 def validate_corpus(points) -> np.ndarray:

@@ -35,15 +35,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.search.batch import (
+    blocked_query_batch,
     refine_masked_candidates,
     validate_refine_kernel,
 )
 from repro.search.results import (
     BatchKnnResult,
+    KnnColumns,
     KnnResult,
     Neighbor,
     QueryStats,
-    combine_stats,
+    stats_block,
     validate_corpus,
     validate_k,
     validate_queries,
@@ -278,8 +280,8 @@ class VAFileIndex:
 
     def _refine_block(
         self, rows: np.ndarray, lower_sq: np.ndarray, upper_sq: np.ndarray, k: int
-    ) -> list[KnnResult]:
-        """Two-phase filtering for a block of queries, vectorized.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Two-phase filtering for a block: ``(ids, distances, stats)``.
 
         Phase 1 prunes with the k-th smallest upper bound.  Phase 2
         seeds ``tau`` with the k-th exact distance among the ``k``
@@ -311,33 +313,32 @@ class VAFileIndex:
         top_indices, top_squared, counts = refine_masked_candidates(
             self._points, rows, survivors, k, kernel=self.refine_kernel
         )
-        results: list[KnnResult] = []
-        for q in range(m):
-            neighbors = tuple(
-                Neighbor(
-                    index=int(top_indices[q, j]),
-                    distance=float(np.sqrt(top_squared[q, j])),
-                )
-                for j in range(k)
-            )
-            stats = QueryStats(
-                points_scanned=int(counts[q]),
-                nodes_visited=n,  # every approximation is read
-                nodes_pruned=n - int(np.count_nonzero(phase1[q])),
-                candidates_generated=int(np.count_nonzero(phase1[q])),
-            )
-            results.append(KnnResult(neighbors=neighbors, stats=stats))
-        return results
+        admitted = np.count_nonzero(phase1, axis=1)
+        stats = stats_block(
+            m,
+            points_scanned=counts,
+            nodes_visited=n,  # every approximation is read
+            nodes_pruned=n - admitted,
+            candidates_generated=admitted,
+        )
+        return top_indices, np.sqrt(top_squared), stats
+
+    def _query_block(
+        self, rows: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Phase-1 bounds and two-phase refinement for a block of rows."""
+        lower_sq, upper_sq = self._bounds_squared_block(rows)
+        return self._refine_block(rows, lower_sq, upper_sq, k)
 
     def query(self, query, k: int = 1) -> KnnResult:
         """Exact k-NN with two-phase VA-file filtering."""
         vector = validate_query(query, self.dimensionality)
         k = validate_k(k, self.n_points)
         lower_sq, upper_sq = self._bounds_squared(vector)
-        return self._refine_block(
+        return KnnColumns(*self._refine_block(
             vector.reshape(1, -1), lower_sq.reshape(1, -1),
             upper_sq.reshape(1, -1), k,
-        )[0]
+        ))[0]
 
     def query_batch(self, queries, k: int = 1) -> BatchKnnResult:
         """Batched k-NN with vectorized phase-1 bound computation.
@@ -354,15 +355,7 @@ class VAFileIndex:
         block = max(
             1, _BLOCK_ENTRIES // (self.n_points * self.dimensionality)
         )
-        results: list[KnnResult] = []
-        for start in range(0, array.shape[0], block):
-            rows = array[start : start + block]
-            lower_sq, upper_sq = self._bounds_squared_block(rows)
-            results.extend(self._refine_block(rows, lower_sq, upper_sq, k))
-        return BatchKnnResult(
-            results=tuple(results),
-            stats=combine_stats(r.stats for r in results),
-        )
+        return blocked_query_batch(self._query_block, array, k, block)
 
     def range_query(self, query, radius: float) -> KnnResult:
         """All corpus points within ``radius`` of ``query``.

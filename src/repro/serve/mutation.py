@@ -90,9 +90,7 @@ import numpy as np
 from repro.search.registry import EXACT_KINDS, build_index, index_spec
 from repro.search.results import (
     BatchKnnResult,
-    KnnResult,
-    Neighbor,
-    QueryStats,
+    stats_block,
     validate_corpus,
     validate_query,
 )
@@ -533,24 +531,26 @@ class MutableBackend:
             self._require_open()
             k = min(k, self._n_live)
             if k == 0:  # every row of this shard was deleted
-                empty = KnnResult(neighbors=())
-                answer.set_result(
-                    BatchKnnResult(results=(empty,) * len(queries))
-                )
+                b = len(queries)
+                answer.set_result(BatchKnnResult.from_columns(
+                    np.empty((b, 0), dtype=np.int64),
+                    np.empty((b, 0)),
+                    stats_block(b),
+                ))
                 return answer
             view = self._view
             view.refs += 1
             rows, ids = self._delta_snapshot_locked()
-            tombs = frozenset(self._tombstones)
+            tombs = np.fromiter(
+                self._tombstones, dtype=np.int64, count=len(self._tombstones)
+            )
         try:
             base = view.backend.submit(
                 queries,
-                min(view.base_ids.size, k + len(tombs)),
+                min(view.base_ids.size, k + tombs.size),
                 deadline=deadline,
             )
-            delta = BatchKnnResult(results=tuple(
-                _scan_delta(rows, ids, query, k) for query in queries
-            ))
+            delta = _scan_delta(rows, ids, queries, k)
         except BaseException:
             self._release(view)
             raise
@@ -948,30 +948,28 @@ class MutableIndexServer(IndexServer):
         return self._mutable.compact(reason)
 
 
-def _scan_delta(rows, ids, vector, k) -> KnnResult:
-    """Exact top-``k`` of the memtable's live rows.
+def _scan_delta(rows, ids, queries, k) -> BatchKnnResult:
+    """Exact top-``k`` of the memtable's live rows, for every query.
 
     Same arithmetic as the family's sequential scan — per-row
     subtract, square, sum, then a stable argsort — so a delta row's
     distance has exactly the bits a fresh index would produce, and
     ascending-id storage makes the stable sort break ties by lower
-    global id.
+    global id.  With fewer than ``k`` live rows the answer is that
+    much narrower.
     """
-    if rows.shape[0] == 0:
-        return KnnResult(neighbors=(), stats=QueryStats())
-    gaps = rows - vector
-    squared = np.sum(np.square(gaps), axis=1)
-    order = np.argsort(squared, kind="stable")[:k]
-    neighbors = tuple(
-        Neighbor(
-            index=int(ids[i]),
-            distance=float(np.sqrt(squared[i])),
-        )
-        for i in order
-    )
-    return KnnResult(
-        neighbors=neighbors,
-        stats=QueryStats(points_scanned=int(rows.shape[0])),
+    b = len(queries)
+    top_ids = np.empty((b, min(k, rows.shape[0])), dtype=np.int64)
+    top_distances = np.empty(top_ids.shape)
+    for row, vector in enumerate(queries):
+        squared = np.sum(np.square(rows - vector), axis=1)
+        order = np.argsort(squared, kind="stable")[:k]
+        top_ids[row] = ids[order]
+        top_distances[row] = np.sqrt(squared[order])
+    return BatchKnnResult.from_columns(
+        top_ids,
+        top_distances,
+        stats_block(b, points_scanned=rows.shape[0]),
     )
 
 

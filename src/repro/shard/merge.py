@@ -3,7 +3,10 @@
 The correctness core of scatter-gather serving.  Each shard returns the
 exact top-k of *its* candidate set with local row indices; the merge
 maps local indices to global ids, pools the candidates, and re-selects
-the global top-k ordered by ``(distance, global id)``.
+the global top-k ordered by ``(distance, global id)``.  It works on the
+batches' arrays (:class:`~repro.search.results.KnnColumns`): the
+shards' ``(b, k)`` id and distance arrays are concatenated, padding and
+excluded ids are dropped, and one ``np.lexsort`` orders every row.
 
 The same merge folds a mutable server's base answer (local indices)
 with its memtable scan (global ids already) and drops the tombstoned
@@ -39,12 +42,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.search.results import (
-    BatchKnnResult,
-    KnnResult,
-    Neighbor,
-    combine_stats,
-)
+from repro.search.results import STATS_FIELDS, BatchKnnResult, KnnResult
+
+# Sort key of a dropped entry (padding or an excluded id): after every
+# kept entry, including one at distance +inf.
+_DROPPED = np.iinfo(np.int64).max
 
 
 def merge_results(
@@ -56,42 +58,11 @@ def merge_results(
 ) -> KnnResult:
     """Merge one query's per-shard top-k lists into the global top-k.
 
-    Args:
-        per_shard: one :class:`KnnResult` per shard.
-        shard_ids: per shard, the ``(n_s,)`` global row ids mapping its
-            local row ``i`` to corpus row ``shard_ids[s][i]``, or
-            ``None`` when that shard's answers already carry global ids.
-        k: neighbors to keep after merging.  Fewer may be returned when
-            the pooled candidates run short (an approximate index with
-            sparse buckets), exactly like the unsharded index would.
-        exclude: global ids to drop before selection (a mutable
-            server's tombstones).
-
-    Returns:
-        A :class:`KnnResult` with global indices, candidates ordered by
-        ``(distance, global id)`` and truncated to ``k``, and the
-        per-shard stats summed.
+    The one-row case of :func:`merge_batches`; the arguments mean the
+    same, with one :class:`KnnResult` per shard.
     """
-    if len(per_shard) != len(shard_ids):
-        raise ValueError(
-            f"got {len(per_shard)} shard results but {len(shard_ids)} "
-            "id arrays"
-        )
-    candidates: list[tuple[float, int]] = []
-    for result, ids in zip(per_shard, shard_ids):
-        for neighbor in result.neighbors:
-            gid = neighbor.index if ids is None else int(ids[neighbor.index])
-            if gid not in exclude:
-                candidates.append((neighbor.distance, gid))
-    candidates.sort()
-    neighbors = tuple(
-        Neighbor(index=gid, distance=distance)
-        for distance, gid in candidates[:k]
-    )
-    return KnnResult(
-        neighbors=neighbors,
-        stats=combine_stats(result.stats for result in per_shard),
-    )
+    rows = [BatchKnnResult(results=(result,)) for result in per_shard]
+    return merge_batches(rows, shard_ids, k, exclude=exclude)[0]
 
 
 def merge_batches(
@@ -101,7 +72,28 @@ def merge_batches(
     *,
     exclude=frozenset(),
 ) -> BatchKnnResult:
-    """Row-wise :func:`merge_results` over per-shard batch answers."""
+    """Merge every row of the per-shard batch answers into its global top-k.
+
+    Args:
+        per_shard: one :class:`BatchKnnResult` per shard, all with the
+            same number of rows.  Batches built from
+            :class:`KnnResult` objects are padded into arrays first.
+        shard_ids: per shard, the ``(n_s,)`` global row ids mapping its
+            local row ``i`` to corpus row ``shard_ids[s][i]``, or
+            ``None`` when that shard's answers already carry global ids.
+        k: neighbors to keep after merging.  A row keeps fewer when its
+            pooled candidates run short (an approximate index with
+            sparse buckets), exactly like the unsharded index would.
+        exclude: global ids to drop before selection (a mutable
+            server's tombstones), as an int64 array or any sized
+            iterable of ints.
+
+    Returns:
+        A :class:`BatchKnnResult` whose arrays hold global ids: the
+        pooled candidates of each row, minus padding and ``exclude``,
+        ordered by ``(distance, global id)`` and cut to ``k``, with the
+        per-shard stats summed row by row.
+    """
     if len(per_shard) != len(shard_ids):
         raise ValueError(
             f"got {len(per_shard)} shard batches but {len(shard_ids)} "
@@ -112,17 +104,44 @@ def merge_batches(
         raise ValueError(
             f"shard batches disagree on row count: {sorted(lengths)}"
         )
+    columns = [batch.columns for batch in per_shard]
     n_rows = lengths.pop() if lengths else 0
-    merged = tuple(
-        merge_results(
-            [batch.results[row] for batch in per_shard],
-            shard_ids,
-            k,
-            exclude=exclude,
-        )
-        for row in range(n_rows)
+    gids = np.concatenate(
+        [np.empty((n_rows, 0), dtype=np.int64)]
+        + [_global_ids(c.ids, ids) for c, ids in zip(columns, shard_ids)],
+        axis=1,
     )
-    return BatchKnnResult(
-        results=merged,
-        stats=combine_stats(result.stats for result in merged),
+    distances = np.concatenate(
+        [np.empty((n_rows, 0))] + [c.distances for c in columns], axis=1
     )
+    dropped = gids < 0
+    if len(exclude):
+        if not isinstance(exclude, np.ndarray):
+            exclude = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
+        dropped |= np.isin(gids, exclude)
+    gids[dropped] = _DROPPED
+    distances[dropped] = np.inf
+    # lexsort's last key is primary: distance, then global id.
+    order = np.lexsort((gids, distances), axis=1)[:, :k]
+    top_ids = np.full((n_rows, k), -1, dtype=np.int64)
+    top_distances = np.full((n_rows, k), np.inf)
+    kept = np.take_along_axis(gids, order, axis=1)
+    top_ids[:, : order.shape[1]] = np.where(kept == _DROPPED, -1, kept)
+    top_distances[:, : order.shape[1]] = np.take_along_axis(
+        distances, order, axis=1
+    )
+    stats = sum(
+        (c.stats for c in columns),
+        np.zeros((n_rows, len(STATS_FIELDS)), dtype=np.int64),
+    )
+    return BatchKnnResult.from_columns(top_ids, top_distances, stats)
+
+
+def _global_ids(local: np.ndarray, ids: np.ndarray | None) -> np.ndarray:
+    """``local`` shard ids mapped through ``ids``; padding stays ``-1``."""
+    if ids is None:
+        return local
+    mapped = np.full(local.shape, -1, dtype=np.int64)
+    found = local >= 0
+    mapped[found] = ids[local[found]]
+    return mapped

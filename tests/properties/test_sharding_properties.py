@@ -21,6 +21,9 @@ the sharded execution.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.search.bruteforce import BruteForceIndex
 from repro.search.idistance import IDistanceIndex
@@ -29,10 +32,16 @@ from repro.search.kdtree import KdTreeIndex
 from repro.search.lsh import LshIndex
 from repro.search.projected import ProjectionScreenedIndex
 from repro.search.pyramid import PyramidIndex
+from repro.search.results import (
+    BatchKnnResult,
+    KnnResult,
+    Neighbor,
+    combine_stats,
+)
 from repro.search.rtree import RTreeIndex
 from repro.search.vafile import VAFileIndex
 from repro.serve import BatchPolicy
-from repro.shard import ShardedIndexServer, build_shards
+from repro.shard import ShardedIndexServer, build_shards, merge_batches
 
 ALL_INDEXES = [
     BruteForceIndex,
@@ -172,3 +181,93 @@ def test_sharded_new_knobs_stay_bit_identical(
             assert got.distances.tolist() == (
                 expected.distances.tolist()
             ), context
+
+
+@st.composite
+def _merge_cases(draw):
+    """Per-shard batch answers with ties, short rows and mixed id maps."""
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 3))
+    # Small-integer coordinates plus copied rows: distances tie often.
+    corpus = draw(
+        arrays(np.int64, (n, d), elements=st.integers(-2, 2))
+    ).astype(np.float64)
+    for target, source in draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 max_size=4)
+    ):
+        corpus[target] = corpus[source]
+    n_queries = draw(st.integers(1, 4))
+    queries = draw(
+        arrays(np.int64, (n_queries, d), elements=st.integers(-2, 2))
+    ).astype(np.float64)
+    n_shards = draw(st.integers(1, 5))
+    labels = draw(
+        arrays(np.int64, n, elements=st.integers(0, n_shards - 1))
+    )
+    per_shard, shard_ids = [], []
+    for shard in range(n_shards):
+        ids = np.flatnonzero(labels == shard)
+        if ids.size == 0:
+            batch = BatchKnnResult(
+                results=(KnnResult(neighbors=()),) * n_queries
+            )
+        else:
+            k_shard = draw(st.integers(1, ids.size))
+            batch = BruteForceIndex(corpus[ids]).query_batch(
+                queries, k=k_shard
+            )
+            if draw(st.booleans()):  # short or empty rows
+                cuts = draw(st.lists(st.integers(0, k_shard),
+                                     min_size=n_queries,
+                                     max_size=n_queries))
+                batch = BatchKnnResult(results=tuple(
+                    KnnResult(neighbors=r.neighbors[:cut], stats=r.stats)
+                    for r, cut in zip(batch, cuts)
+                ))
+        if draw(st.booleans()):  # answers already carry global ids
+            batch = BatchKnnResult(results=tuple(
+                KnnResult(
+                    neighbors=tuple(
+                        Neighbor(int(ids[nb.index]), nb.distance)
+                        for nb in r.neighbors
+                    ),
+                    stats=r.stats,
+                )
+                for r in batch
+            ))
+            ids = None
+        per_shard.append(batch)
+        shard_ids.append(ids)
+    k = draw(st.integers(1, n))
+    exclude = draw(st.frozensets(st.integers(0, n - 1), max_size=n))
+    if draw(st.booleans()):
+        exclude = np.array(sorted(exclude), dtype=np.int64)
+    return per_shard, shard_ids, k, exclude
+
+
+@given(_merge_cases())
+@settings(max_examples=200, deadline=None)
+def test_merge_batches_matches_tuple_sort_reference(case):
+    # The reference pools (distance, gid) tuples, drops the excluded
+    # ids, sorts and keeps k: the merge's definition, row by row.
+    per_shard, shard_ids, k, exclude = case
+    dead = {int(gid) for gid in exclude}
+    merged = merge_batches(per_shard, shard_ids, k, exclude=exclude)
+    assert len(merged) == len(per_shard[0])
+    for row, got in enumerate(merged):
+        pooled = []
+        for batch, ids in zip(per_shard, shard_ids):
+            for nb in batch[row].neighbors:
+                gid = nb.index if ids is None else int(ids[nb.index])
+                if gid not in dead:
+                    pooled.append((nb.distance, gid))
+        want = sorted(pooled)[:k]
+        assert got.indices.tolist() == [gid for _, gid in want]
+        assert got.distances.tobytes() == np.array(
+            [dist for dist, _ in want], dtype=np.float64
+        ).tobytes()
+        assert got.stats == combine_stats(
+            batch[row].stats for batch in per_shard
+        )
+    assert merged.stats == combine_stats(r.stats for r in merged)

@@ -1,9 +1,15 @@
 """Tests for the shared search result types."""
 
+import gc
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.search.bruteforce import BruteForceIndex
+from repro.search.registry import INDEX_KINDS, build_index
 from repro.search.results import (
+    BatchKnnResult,
     KnnResult,
     Neighbor,
     QueryStats,
@@ -82,6 +88,86 @@ class TestKnnResult:
     def test_empty(self):
         result = KnnResult(neighbors=())
         assert result.indices.size == 0
+
+
+def _short_lsh_batch():
+    """An LSH batch whose rows hold 1, 1, 1, 0, 0, 0, 0 and 0 neighbors."""
+    rng = np.random.default_rng(0)
+    corpus = rng.normal(size=(200, 8))
+    index = build_index(
+        "lsh", corpus, n_tables=1, n_hashes=8, bucket_width=0.5
+    )
+    queries = np.vstack([corpus[:3], rng.normal(size=(5, 8)) * 5])
+    return index.query_batch(queries, k=5)
+
+
+class TestBatchArrays:
+    def test_short_rows_are_padded(self):
+        batch = _short_lsh_batch()
+        assert [len(r.neighbors) for r in batch] == [1, 1, 1, 0, 0, 0, 0, 0]
+        assert batch.indices.shape == (8, 5)
+        assert batch.distances.shape == (8, 5)
+        for row, result in enumerate(batch):
+            found = len(result.neighbors)
+            assert batch.indices[row, :found].tolist() == (
+                result.indices.tolist()
+            )
+            assert batch.distances[row, :found].tobytes() == (
+                result.distances.tobytes()
+            )
+            assert (batch.indices[row, found:] == -1).all()
+            assert (batch.distances[row, found:] == np.inf).all()
+
+    def test_hand_built_short_rows_are_padded(self):
+        batch = BatchKnnResult(
+            results=(
+                KnnResult(neighbors=(Neighbor(3, 1.5),)),
+                KnnResult(neighbors=()),
+            )
+        )
+        assert batch.indices.tolist() == [[3], [-1]]
+        assert batch.distances.tolist() == [[1.5], [np.inf]]
+
+
+def _assert_same_batch(got, want):
+    assert got.indices.tolist() == want.indices.tolist()
+    assert got.distances.tobytes() == want.distances.tobytes()
+    assert [r.stats for r in got] == [r.stats for r in want]
+    assert [r.neighbors for r in got] == [r.neighbors for r in want]
+    assert got.stats == want.stats
+
+
+class TestBatchPickling:
+    """Answers cross a process pipe; they must arrive bit for bit."""
+
+    @pytest.mark.parametrize("kind", INDEX_KINDS)
+    def test_round_trip_is_bit_identical(self, kind, rng):
+        corpus = rng.normal(size=(300, 6))
+        corpus[7] = corpus[3]  # a distance tie
+        index = build_index(kind, corpus)
+        queries = np.vstack([corpus[3], rng.normal(size=(6, 6))])
+        batch = index.query_batch(queries, k=4)
+        _assert_same_batch(pickle.loads(pickle.dumps(batch)), batch)
+
+    def test_short_rows_round_trip(self):
+        batch = _short_lsh_batch()
+        _assert_same_batch(pickle.loads(pickle.dumps(batch)), batch)
+
+    def test_answer_unpickles_without_row_objects(self, rng):
+        # The point-pooled shape: 58 rows of k=10 over 10k x 16.
+        index = BruteForceIndex(rng.normal(size=(10_000, 16)))
+        batch = index.query_batch(rng.normal(size=(58, 16)), k=10)
+        data = pickle.dumps(batch)
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            loaded = pickle.loads(data)
+            created = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert len(loaded) == 58
+        assert created < 50
 
 
 class TestValidators:
