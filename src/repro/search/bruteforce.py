@@ -17,6 +17,7 @@ from repro.search.results import (
     stats_block,
     validate_corpus,
     validate_k,
+    validate_live,
     validate_queries,
     validate_query,
 )
@@ -33,6 +34,8 @@ class BruteForceIndex:
 
     Always correct, never prunes; its :class:`QueryStats` (``n`` points
     scanned, zero nodes) anchor the pruning comparisons.
+    :meth:`with_live` gives a view that answers over a subset of the
+    rows without rebuilding anything.
 
     Args:
         points: ``(n, d)`` corpus.
@@ -49,6 +52,7 @@ class BruteForceIndex:
             "nd,nd->n", self._points, self._points
         )
         self._scanner = GramScanner(self._points, sq_norms=self._sq_norms)
+        self._live = None
 
     @property
     def n_points(self) -> int:
@@ -86,7 +90,29 @@ class BruteForceIndex:
         # scan's scoring dtype; it never changed an answer, so it is
         # ignored.
         index._scanner = GramScanner(index._points, sq_norms=index._sq_norms)
+        index._live = None
         return index
+
+    def with_live(self, live) -> "BruteForceIndex":
+        """A view of this index that answers over the rows ``live`` marks.
+
+        ``live`` is an ``(n,)`` boolean mask over the corpus rows.  The
+        view shares the corpus, the norms and the
+        :class:`~repro.search.batch.GramScanner` (whose float32 corpus
+        is built once, on first use, for the index and all its views).
+        Its :meth:`query`, :meth:`query_batch` and :meth:`range_query`
+        answer exactly like a fresh index built over ``points[live]``,
+        with ids in this index's row numbering: a dead row never
+        reaches selection.  ``k`` is still bounded by :attr:`n_points`;
+        with fewer live rows than ``k`` a batch row pads with id ``-1``
+        and distance ``+inf``, and ``query`` returns fewer neighbors.
+        """
+        view = type(self).__new__(type(self))
+        view._points = self._points
+        view._sq_norms = self._sq_norms
+        view._scanner = self._scanner
+        view._live = validate_live(live, self.n_points)
+        return view
 
     def query(self, query, k: int = 1) -> KnnResult:
         """Return the ``k`` nearest corpus points to ``query`` (Euclidean).
@@ -102,7 +128,10 @@ class BruteForceIndex:
         # argsort is O(n log n); for the corpus sizes here the simplicity
         # beats a partial-selection micro-optimization, and full sorting
         # gives the deterministic tie-break for free.
-        order = np.argsort(squared, kind="stable")[:k]
+        order = np.argsort(squared, kind="stable")
+        if self._live is not None:
+            order = order[self._live[order]]
+        order = order[:k]
         neighbors = tuple(
             Neighbor(index=int(i), distance=float(np.sqrt(squared[i])))
             for i in order
@@ -140,14 +169,22 @@ class BruteForceIndex:
         run in float32, with a margin around the k-th partitioned value
         that dominates the combined cancellation and precision error.
         Every point whose exact distance ties or beats the exact k-th
-        therefore survives the mask.
+        therefore survives the mask.  Under :meth:`with_live` a dead row
+        scores ``+inf``, so it cannot set the k-th value, and the live
+        mask is ANDed in last: with fewer live rows than ``k`` the limit
+        is ``+inf``, which every score meets.
         """
         approx, margin = self._scanner.scores(rows, q_sq)
+        if self._live is not None:
+            approx[:, np.flatnonzero(~self._live)] = np.inf
         kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
         # Doubled margin: the k-th value itself carries the same error as
         # the scores it is compared against.
         limit = kth.astype(np.float64) + 2.0 * margin
-        return approx <= limit.astype(approx.dtype)[:, None]
+        mask = approx <= limit.astype(approx.dtype)[:, None]
+        if self._live is not None:
+            mask &= self._live
+        return mask
 
     def _query_block(
         self, rows: np.ndarray, k: int
@@ -176,7 +213,10 @@ class BruteForceIndex:
             raise ValueError(f"radius must be non-negative, got {radius}")
         gaps = self._points - vector
         squared = np.sum(np.square(gaps), axis=1)
-        within = np.flatnonzero(squared <= radius * radius)
+        within = squared <= radius * radius
+        if self._live is not None:
+            within &= self._live
+        within = np.flatnonzero(within)
         order = within[np.argsort(squared[within], kind="stable")]
         neighbors = tuple(
             Neighbor(index=int(i), distance=float(np.sqrt(squared[i])))

@@ -36,6 +36,21 @@ from repro.search.results import (
 )
 from repro.search.snapshot import read_snapshot, write_snapshot
 
+# Relative rounding slack on a subtree's distance bound.  The bound is
+# kept incrementally in split order (subtract a dimension's old side
+# term, add its new one), while a leaf row's distance is one ``np.sum``
+# over its coordinates.  Per coordinate the bound's term never exceeds
+# the row's (rounding is monotone), but the two sums round differently:
+# the bound by up to one ulp per update along the path (at most two per
+# level, and no intermediate value exceeds the bound, since descending
+# to a far child never shrinks it), the row's sum by up to d ulps.  So
+# an equal-distance row can sit (2 * depth + d) ulps below its
+# subtree's bound, and pruning it would break the lower-index tie-break.
+# 1e-9 is about 4.5e6 ulps: more than that for any tree (depth <= 64)
+# up to a million dimensions, at the cost of visiting a subtree whose
+# bound exceeds the k-th distance by less than a part in 10^9.
+_BOUND_SLACK = 1e-9
+
 
 class KdTreeIndex:
     """Median-split kd-tree over a static corpus.
@@ -291,9 +306,10 @@ class KdTreeIndex:
             visit(near, rect_distance_sq)
             previous = side_squared[dim]
             far_bound = rect_distance_sq - previous + offset * offset
-            # <= (not <) so equal-distance points can still compete on the
-            # index tie-break, keeping results identical to brute force.
-            if far_bound <= worst_squared():
+            # <= (not <), less the rounding slack, so equal-distance
+            # points can still compete on the index tie-break, keeping
+            # results identical to brute force.
+            if far_bound * (1.0 - _BOUND_SLACK) <= worst_squared():
                 side_squared[dim] = offset * offset
                 visit(far, far_bound)
                 side_squared[dim] = previous
@@ -358,7 +374,7 @@ class KdTreeIndex:
             visit(near, rect_distance_sq)
             previous = side_squared[dim]
             far_bound = rect_distance_sq - previous + offset * offset
-            if far_bound <= radius_sq:
+            if far_bound * (1.0 - _BOUND_SLACK) <= radius_sq:
                 side_squared[dim] = offset * offset
                 visit(far, far_bound)
                 side_squared[dim] = previous

@@ -70,6 +70,7 @@ from repro.search.results import (
     stats_block,
     validate_corpus,
     validate_k,
+    validate_live,
     validate_queries,
     validate_query,
 )
@@ -273,6 +274,8 @@ class ProjectionScreenedIndex:
     neighbors, same distance bytes, same lower-index tie-breaks — at a
     fraction of the scanned bytes; :class:`QueryStats` reports the
     split (``reduced_rows_scanned`` vs ``points_scanned``).
+    :meth:`with_live` gives a view that answers over a subset of the
+    rows without refitting or rebuilding anything.
     """
 
     # Snapshot kind: read by the registry, snapshot dispatch, and
@@ -316,6 +319,7 @@ class ProjectionScreenedIndex:
             self._reduced, sq_norms=self._reduced_sq_norms
         )
         self._block_entries = _BLOCK_ENTRIES
+        self._live = None
 
     @property
     def n_points(self) -> int:
@@ -401,6 +405,33 @@ class ProjectionScreenedIndex:
         index._finish_init()
         return index
 
+    def with_live(self, live) -> "ProjectionScreenedIndex":
+        """A view of this index that answers over the rows ``live`` marks.
+
+        ``live`` is an ``(n,)`` boolean mask over the corpus rows.  The
+        view shares the corpus, the projection, the reduced corpus and
+        its :class:`~repro.search.batch.GramScanner`, and screens with
+        the same bounds.  Its :meth:`query` and :meth:`query_batch`
+        answer exactly like a fresh index built over ``points[live]``
+        (an exact answer does not depend on the projection), with ids in
+        this index's row numbering: a dead row never reaches seed
+        selection or the refine.  ``k`` is still bounded by
+        :attr:`n_points`; with fewer live rows than ``k`` a batch row
+        pads with id ``-1`` and distance ``+inf``, and ``query`` returns
+        fewer neighbors.
+        """
+        view = type(self).__new__(type(self))
+        view._points = self._points
+        view.refine_kernel = self.refine_kernel
+        view._projection = self._projection
+        view._reduced = self._reduced
+        view._reduced_sq_norms = self._reduced_sq_norms
+        view._max_centered_sq_norm = self._max_centered_sq_norm
+        view._scanner = self._scanner
+        view._block_entries = self._block_entries
+        view._live = validate_live(live, self.n_points)
+        return view
+
     def _screen_margin(
         self, kernel_margin: np.ndarray, q_sq_reduced: np.ndarray,
         q_sq_centered: np.ndarray,
@@ -480,8 +511,13 @@ class ProjectionScreenedIndex:
         """Screen, prune, and refine one block: ``(ids, distances, stats)``."""
         n = self.n_points
 
-        # Stage 1: blocked reduced-space scan -> lower-bound scores.
+        # Stage 1: blocked reduced-space scan -> lower-bound scores.  A
+        # row outside the view's live mask scores +inf, so it is seeded
+        # only when fewer than k live rows remain.
         approx, margin = self._stage1_scores(rows)
+        live = self._live
+        if live is not None:
+            approx[:, np.flatnonzero(~live)] = np.inf
 
         # Stage 2: seed tau with the k reduced-nearest rows' exact
         # distances; tau is then >= the true k-th distance, so any row
@@ -492,6 +528,11 @@ class ProjectionScreenedIndex:
         seed_rows = np.repeat(np.arange(b), k)
         seed_gaps = self._points[seeds.ravel()] - rows[seed_rows]
         seed_sq = np.sum(np.square(seed_gaps), axis=1).reshape(b, k)
+        if live is not None:
+            # A dead seed means fewer than k live rows, so there is no
+            # live k-th distance to bound: tau must be +inf, and every
+            # live row is refined.
+            seed_sq[~live[seeds]] = np.inf
         tau = seed_sq.max(axis=1)
         limit = tau + margin
         # Comparing the float32 scores against the float64 limit
@@ -501,6 +542,8 @@ class ProjectionScreenedIndex:
         # candidates exactly once via the mask (a seed's bound can
         # exceed tau when its own exact distance does).
         mask[seed_rows, seeds.ravel()] = True
+        if live is not None:
+            mask &= live
 
         # Stage 3: exact float64 re-rank of the survivors, bit-identical
         # arithmetic and tie-breaks to BruteForceIndex.  Both kernels

@@ -330,3 +330,14 @@ def validate_k(k: int, corpus_size: int) -> int:
     if not 1 <= k <= corpus_size:
         raise ValueError(f"k must lie in [1, {corpus_size}], got {k}")
     return int(k)
+
+
+def validate_live(live, corpus_size: int) -> np.ndarray:
+    """Common validation for ``with_live`` row masks."""
+    mask = np.asarray(live)
+    if mask.dtype != np.bool_ or mask.shape != (corpus_size,):
+        raise ValueError(
+            f"live must be a boolean ({corpus_size},) mask, got "
+            f"{mask.dtype} of shape {mask.shape}"
+        )
+    return mask

@@ -39,8 +39,8 @@ def identical_answers(reference, live_ids, observed) -> bool:
     :class:`~repro.serve.mutation.MutableIndexServer` answer (global
     ids).  Neighbors and distances must match bit-for-bit; stats are
     not compared — base + delta execution honestly reports its own work
-    (base top-``k+|tombstones|`` plus a delta scan), like the sharded
-    merge does.
+    (the base scan plus a scan of the memtable's live rows), like the
+    sharded merge does.
     """
     want = [
         (float(n.distance), int(live_ids[n.index]))

@@ -8,18 +8,25 @@ approximately:
   (:class:`~repro.search.snapshot.GenerationStore`), answered by the
   batch backend an :class:`~repro.serve.server.IndexServer` would use:
   the in-process index, or a :class:`~repro.serve.pool.WorkerPool`;
-* the **memtable** is an in-memory insert/delete delta: inserted rows
-  keyed by their global row id, plus a tombstone set over both base and
-  memtable rows;
-* every coalesced batch is answered as an **exact merge**: the base
-  returns its top-``k + |tombstones|`` (so at least ``k`` live base
-  rows survive masking), the memtable's live rows are scanned with the
-  family's sequential distance arithmetic, and
-  :func:`~repro.shard.merge.merge_batches` drops the dead rows and
-  re-selects by ``(distance, global id)`` — exactly the order a fresh
-  index built over the live rowset (rows in ascending global-id order)
-  would produce, because every index in the family breaks distance ties
-  by lower corpus index.
+* the **memtable** is an append-only **arena**: inserted rows in
+  ascending global-id order, each with a live flag, plus one boolean
+  **live mask** over the generation's local base rows.  A delete clears
+  a flag; nothing is rebuilt, so a batch captures the memtable as an
+  arena prefix (rows below it are never written again) plus copies of
+  the flags and the mask;
+* every coalesced batch is answered as an **exact merge**.  The base
+  answers over its live rows only: brute force and projscreen take the
+  live mask into the scan (``index.with_live(mask)``, shipped to a
+  worker as packed bits), so a dead row never reaches selection and the
+  base is asked for ``k``.  The other exact kinds have no masked scan;
+  they are asked for ``k`` plus the dead base rows, and the merge drops
+  those.  The arena's live rows are scanned with the family's
+  sequential distance arithmetic, and
+  :func:`~repro.shard.merge.merge_batches` re-selects by
+  ``(distance, global id)`` — exactly the order a fresh index built
+  over the live rowset (rows in ascending global-id order) would
+  produce, because every index in the family breaks distance ties by
+  lower corpus index.
 
 :class:`MutableBackend` holds all of that state and answers batches
 with :meth:`WorkerPool.submit`'s signature.  :class:`MutableIndexServer`
@@ -38,13 +45,13 @@ never dropped or mis-answered:
 1. the new generation is built and published while the old view keeps
    serving (each batch merges against the memtable snapshot it
    captured, so concurrent mutations never skew an in-flight answer);
-2. under the view lock the view is swapped, the compacted cut is
-   trimmed from the memtable, and tombstones of rows that were
-   compacted away are dropped (tombstones of cut rows deleted *during*
-   the build are kept — those rows made it into the new base and must
-   stay masked);
+2. under the view lock the view is swapped and the compacted cut (the
+   arena prefix the build captured) is trimmed from the arena.  Rows
+   deleted before the capture are simply absent from the new base;
+   rows deleted *during* the build made it into the new base and start
+   out cleared in its live mask;
 3. the old view is reference-counted: each batch pins the view when it
-   captures the memtable rows and tombstones, in one lock acquisition,
+   captures the arena prefix and the masks, in one lock acquisition,
    and the old base backend is drained and then closed only after its
    last pinned batch released it.  The pipeline's one deadline reaper
    keeps releasing deadlined callers throughout;
@@ -70,10 +77,10 @@ generation's **write-ahead log** (:mod:`repro.serve.wal`) *before* it
 is acknowledged, fsync'd per the ``wal_sync`` policy (``"always"`` —
 an acked op can never be lost; ``"group"`` / ``"off"`` trade bounded
 loss windows for throughput).  On resume the server replays the log —
-tolerating a torn tail, refusing mid-stream corruption — and
-reconstructs memtable, tombstones, ``next_row_id``, and drift moments
-in append order, so the resumed server answers bit-identically to one
-that never crashed.  Each compaction rotates the log: the new
+tolerating a torn tail, refusing mid-stream corruption — and refills
+the arena, the flags, the base mask, ``next_row_id`` and the drift
+moments in append order, so the resumed server answers bit-identically
+to one that never crashed.  Each compaction rotates the log: the new
 generation's WAL is seeded with the surviving memtable state *before*
 the manifest repoint (the single commit point), so no crash window
 loses acknowledged ops, and superseded logs die with their pruned
@@ -87,7 +94,12 @@ from concurrent.futures import Future
 
 import numpy as np
 
-from repro.search.registry import EXACT_KINDS, build_index, index_spec
+from repro.search.registry import (
+    EXACT_KINDS,
+    build_index,
+    index_class,
+    index_spec,
+)
 from repro.search.results import (
     BatchKnnResult,
     stats_block,
@@ -111,6 +123,10 @@ from repro.serve.server import (
 from repro.serve.wal import SYNC_POLICIES, WalError, WalWriter, read_wal
 
 COMPACTION_REASONS = ("initial", "size", "drift", "manual")
+
+# Rows the memtable arena holds before its first growth; it doubles
+# whenever it fills.
+_ARENA_ROWS = 1024
 
 
 class MutationError(ValueError):
@@ -161,23 +177,14 @@ class _View:
             self.pool.drain(_DRAIN_SECONDS)
             self.pool.close()
 
-    def local_of(self, row_id: int) -> int:
-        """Local row index of global ``row_id``, or ``-1`` if absent."""
-        position = int(np.searchsorted(self.base_ids, row_id))
-        if (
-            position < self.base_ids.size
-            and int(self.base_ids[position]) == row_id
-        ):
-            return position
-        return -1
-
 
 class MutableBackend:
     """Batch backend: exact top-k over one corpus that mutates.
 
     Holds the generation store, the served view (pinned by in-flight
-    batches), the memtable, the tombstones, the write-ahead log, the
-    drift monitor and the compactor.  :meth:`submit` has
+    batches), the memtable arena and its live flags, the live mask over
+    the base rows, the write-ahead log, the drift monitor and the
+    compactor.  :meth:`submit` has
     :meth:`WorkerPool.submit`'s signature and answers in global row
     ids, bit-identically to ``build_index(kind, live_rows)`` with local
     indices mapped to global ids — neighbors, distances, and
@@ -203,8 +210,8 @@ class MutableBackend:
         n_workers: worker processes answering each generation's base
             (``0``: the in-process index, on the batcher thread).
         compact_threshold: auto-compact once the memtable holds this
-            many operations (inserted rows + tombstones); ``None``
-            disables size-triggered compaction.
+            many operations (inserted rows plus deleted rows, base or
+            memtable); ``None`` disables size-triggered compaction.
         drift_threshold: captured-energy ratio below which a drift
             compaction is triggered (projscreen only); ``None``
             disables drift monitoring.
@@ -262,6 +269,9 @@ class MutableBackend:
                 f"basis; it does not apply to kind {kind!r}"
             )
         self._kind = kind
+        # Kinds with a masked scan answer the base over its live rows;
+        # the others are asked for k plus the dead base rows.
+        self._masked = hasattr(index_class(kind), "with_live")
         self._index_kwargs = dict(index_kwargs or {})
         self._n_workers = int(n_workers)
         self._compact_threshold = compact_threshold
@@ -301,20 +311,28 @@ class MutableBackend:
                 reason="initial",
             )
 
-        # The view lock guards the serving view, the memtable, the
-        # tombstones, and the id counter.  A batch holds it only to
-        # capture a consistent (view, delta, tombstones) triple and pin
-        # the view; mutations hold it to update state.
+        # The view lock guards the serving view, the arena, the masks,
+        # and the id counter.  A batch holds it only to capture a
+        # consistent (view, arena prefix, masks) state and pin the view;
+        # mutations hold it to update state.
         self._lock = threading.Lock()
         self._view = _View(info)
         self.dimensionality = int(self._view.points.shape[1])
-        self._memtable: dict[int, np.ndarray] = {}
-        self._tombstones: set[int] = set()
+        # The memtable arena: rows [0, _n_rows) of these buffers, in
+        # ascending global-id order.  Rows and ids below _n_rows are
+        # never written again (growth and compaction copy into new
+        # buffers), so a batch reads its captured prefix unlocked; the
+        # live flags are cleared in place and captured as a copy.
+        self._rows = np.empty((_ARENA_ROWS, self.dimensionality))
+        self._ids = np.empty(_ARENA_ROWS, dtype=np.int64)
+        self._live = np.empty(_ARENA_ROWS, dtype=bool)
+        self._n_rows = 0
+        self._n_dead_rows = 0
+        # One flag per local row of the serving generation's base.
+        self._base_live = np.ones(self._view.base_ids.size, dtype=bool)
+        self._n_dead_base = 0
         self._next_row_id = info.next_row_id
         self._n_live = info.n_points
-        self._delta_dirty = True
-        self._delta_rows = np.empty((0, self.dimensionality))
-        self._delta_ids = np.empty(0, dtype=np.intp)
         self._closed = False
         self.n_compactions = 0
         self.n_drift_compactions = 0
@@ -399,9 +417,9 @@ class MutableBackend:
 
     @property
     def memtable_ops(self) -> int:
-        """Un-compacted operations (inserted rows + tombstones)."""
+        """Un-compacted operations (inserted rows + deleted rows)."""
         with self._lock:
-            return len(self._memtable) + len(self._tombstones)
+            return self._ops_locked()
 
     @property
     def next_row_id(self) -> int:
@@ -471,12 +489,7 @@ class MutableBackend:
             # once it is durable per the sync policy, and a failed
             # append leaves the server exactly as it was.
             self._wal.append_insert(row_id, row)
-            self._next_row_id = row_id + 1
-            self._memtable[row_id] = row
-            self._n_live += 1
-            self._delta_dirty = True
-            if self._moments is not None:
-                self._moments.update(row)
+            self._insert_locked(row_id, row)
             self._check_triggers_locked()
         return row_id
 
@@ -488,27 +501,13 @@ class MutableBackend:
         """
         with self._lock:
             self._require_open()
-            if row_id in self._tombstones:
-                raise KeyError(f"row id {row_id} is already deleted")
-            if row_id in self._memtable:
-                row = self._memtable[row_id]
-            else:
-                local = self._view.local_of(row_id)
-                if local < 0:
-                    raise KeyError(f"unknown row id {row_id}")
-                row = np.asarray(
-                    self._view.points[local], dtype=np.float64
-                )
+            in_arena, position = self._locate_locked(row_id)
             # Log before touching any state (see insert).
             self._wal.append_delete(row_id)
-            # The row is tombstoned, not evicted: an in-flight
-            # compaction may already have cut this memtable entry into
-            # the next base, where only the tombstone can mask it.
-            self._tombstones.add(row_id)
-            self._n_live -= 1
-            self._delta_dirty = True
-            if self._moments is not None and self._moments.count > 0:
-                self._moments.downdate(row)
+            # The row is flagged dead, not evicted: an in-flight
+            # compaction may already have cut this arena row into the
+            # next base, where the swap carries the flag into its mask.
+            self._delete_locked(in_arena, position)
             self._check_triggers_locked()
 
     # -- batches -------------------------------------------------------
@@ -516,15 +515,18 @@ class MutableBackend:
     def submit(self, queries, k: int, *, deadline: float | None = None) -> Future:
         """Exact top-``k`` of every row over the live rowset.
 
-        The view, the memtable's live rows and the tombstones are
-        captured once for the batch, in the lock acquisition that pins
-        the view, so a swap cannot close the base backend under it.
-        Outside the lock the base is asked for ``k + |tombstones|``
-        neighbors (``deadline`` passes on, as the pipeline's discard
-        hint), the memtable is scanned meanwhile, and the answers are
-        merged once the base has answered.  ``k`` is clamped to the
-        live rows captured: a shard may hold fewer than the global
-        ``k``, and rows may have been deleted since admission.
+        The view, the arena prefix, its live flags and the base live
+        mask are captured once for the batch, in the lock acquisition
+        that pins the view, so a swap cannot close the base backend
+        under it.  Outside the lock the base answers over its live rows
+        (``deadline`` passes on, as the pipeline's discard hint): a kind
+        with ``with_live`` takes the mask and is asked for ``k``; any
+        other is asked for ``k`` plus the dead base rows, which the
+        merge drops.  The arena's live rows are scanned meanwhile, and
+        the answers are merged once the base has answered.  ``k`` is
+        clamped to the live rows captured: a shard may hold fewer than
+        the global ``k``, and rows may have been deleted since
+        admission.
         """
         answer: Future = Future()
         with self._lock:
@@ -540,17 +542,19 @@ class MutableBackend:
                 return answer
             view = self._view
             view.refs += 1
-            rows, ids = self._delta_snapshot_locked()
-            tombs = np.fromiter(
-                self._tombstones, dtype=np.int64, count=len(self._tombstones)
-            )
+            rows, ids, live = self._arena_locked()
+            base_live = self._base_live.copy() if self._n_dead_base else None
+        base_k = min(view.base_ids.size, k)
+        exclude = ()
+        if base_live is not None and not self._masked:
+            exclude = view.base_ids[~base_live]
+            base_k = min(view.base_ids.size, k + exclude.size)
+            base_live = None
         try:
             base = view.backend.submit(
-                queries,
-                min(view.base_ids.size, k + tombs.size),
-                deadline=deadline,
+                queries, base_k, deadline=deadline, live=base_live
             )
-            delta = _scan_delta(rows, ids, queries, k)
+            delta = _scan_delta(rows, ids, live, queries, k)
         except BaseException:
             self._release(view)
             raise
@@ -564,7 +568,7 @@ class MutableBackend:
                     [answered.result(), delta],
                     [view.base_ids, None],
                     k,
-                    exclude=tombs,
+                    exclude=exclude,
                 ))
             except Exception as error:  # a failed base fails the batch
                 _fail(answer, error)
@@ -594,11 +598,13 @@ class MutableBackend:
             with self._lock:
                 self._require_open()
                 old_view = self._view
-                cut_set = set(self._memtable)
-                rows, ids = self._delta_snapshot_locked()
-                tombs = frozenset(self._tombstones)
+                rows, ids, live = self._arena_locked()
+                cut = ids.size
+                base_live = self._base_live.copy()
                 next_row_id = self._next_row_id
-            live_ids, live_rows = _live_rowset(old_view, tombs, rows, ids)
+            live_ids, live_rows = _live_rowset(
+                old_view, base_live, rows, ids, live
+            )
             if live_ids.size == 0:
                 raise MutationError(
                     "cannot compact an empty rowset: every index kind "
@@ -620,7 +626,6 @@ class MutableBackend:
             )
             new_view = _View(pending)
             new_view.open(self._n_workers)
-            base_set = set(int(gid) for gid in live_ids)
 
             new_wal = None
             try:
@@ -628,40 +633,44 @@ class MutableBackend:
                     # Rotation is atomic with mutations: an op logged
                     # after the survivor capture but before the swap
                     # would land only in the superseded log and vanish.
-                    # Survivors (inserted during the build) are carried
-                    # over in memtable insertion order — replay rebuilds
-                    # the dict in the same order, which the delta scan's
-                    # stable-sort tie-break depends on.
-                    survivors = {
-                        gid: row
-                        for gid, row in self._memtable.items()
-                        if gid not in cut_set
-                    }
-                    # Tombstones of rows that were compacted away are
-                    # satisfied (the row is simply absent from the new
-                    # base); tombstones of rows that made the cut
-                    # *after* capture — deleted mid-build — must
-                    # survive to mask them in the new base.
-                    new_tombs = {
-                        gid
-                        for gid in self._tombstones
-                        if gid in base_set or gid in survivors
-                    }
+                    # Survivors (the arena rows past the cut, inserted
+                    # during the build) are carried over in arena order,
+                    # which replay restores.  The new base holds the
+                    # rows live at capture, in live_ids order; those
+                    # deleted since (mid-build) start out dead in its
+                    # mask.  Rows dead at capture were compacted away.
+                    new_base_live = np.concatenate([
+                        self._base_live[base_live],
+                        self._live[:cut][live],
+                    ])
+                    end = self._n_rows
+                    survivor_ids = self._ids[cut:end]
+                    survivor_rows = self._rows[cut:end]
+                    survivor_live = self._live[cut:end]
                     new_wal = WalWriter(
                         pending.wal_path, sync_policy=self._wal_sync
                     )
-                    for gid, row in survivors.items():
-                        new_wal.append_insert(gid, row)
-                    for gid in sorted(new_tombs):
-                        new_wal.append_delete(gid)
+                    for gid, row in zip(survivor_ids, survivor_rows):
+                        new_wal.append_insert(int(gid), row)
+                    # Dead base ids, then dead survivor ids: ascending,
+                    # since every arena id exceeds every base id.
+                    for gid in np.concatenate([
+                        live_ids[~new_base_live],
+                        survivor_ids[~survivor_live],
+                    ]):
+                        new_wal.append_delete(int(gid))
                     new_wal.sync()
                     info = self._store.commit(pending)
                     # -- commit point: adopt the new generation --
                     self._view = new_view
-                    self._memtable = survivors
-                    self._tombstones = new_tombs
+                    self._base_live = new_base_live
+                    self._n_dead_base = int(
+                        new_base_live.size - np.count_nonzero(new_base_live)
+                    )
+                    self._reset_arena_locked(
+                        survivor_rows, survivor_ids, survivor_live
+                    )
                     old_wal, self._wal = self._wal, new_wal
-                    self._delta_dirty = True
                     self._drift_pending = False
                     if self._moments is not None:
                         # The moments track the live rowset, which a
@@ -729,11 +738,12 @@ class MutableBackend:
         """Apply a recovered log on top of the freshly opened base.
 
         Mirrors :meth:`insert`/:meth:`delete` exactly — same
-        validation, same memtable insertion order (the delta scan's
-        stable-sort tie-break depends on it), same moments updates —
-        but never re-logs: every record is already durable.  A record
-        that contradicts the state built so far means the log is lying
-        about history, which is corruption, not a torn tail.
+        validation, the same arena appends in the same order (the delta
+        scan's stable-sort tie-break depends on it), the same flags and
+        moments updates — but never re-logs: every record is already
+        durable.  A record that contradicts the state built so far
+        means the log is lying about history, which is corruption, not
+        a torn tail.
 
         Raises:
             WalError: a replayed op is semantically invalid (id reuse,
@@ -755,35 +765,98 @@ class MutableBackend:
                         f"{row_id} (ids below {self._next_row_id} were "
                         "already allocated)"
                     )
-                self._next_row_id = row_id + 1
-                self._memtable[row_id] = row
-                self._n_live += 1
-                if self._moments is not None:
-                    self._moments.update(row)
+                self._insert_locked(row_id, row)
             else:
-                _, row_id = op
-                if row_id in self._tombstones:
+                try:
+                    located = self._locate_locked(op[1])
+                except KeyError as error:
                     raise WalError(
-                        f"{path}: replayed delete of row {row_id} "
-                        "which an earlier record already deleted"
-                    )
-                if row_id in self._memtable:
-                    row = self._memtable[row_id]
-                else:
-                    local = self._view.local_of(row_id)
-                    if local < 0:
-                        raise WalError(
-                            f"{path}: replayed delete of unknown row "
-                            f"id {row_id}"
-                        )
-                    row = np.asarray(
-                        self._view.points[local], dtype=np.float64
-                    )
-                self._tombstones.add(row_id)
-                self._n_live -= 1
-                if self._moments is not None and self._moments.count > 0:
-                    self._moments.downdate(row)
-        self._delta_dirty = True
+                        f"{path}: replayed delete refused: {error.args[0]}"
+                    ) from None
+                self._delete_locked(*located)
+
+    def _ops_locked(self) -> int:
+        """Un-compacted operations: arena rows plus deleted rows."""
+        return self._n_rows + self._n_dead_rows + self._n_dead_base
+
+    def _insert_locked(self, row_id: int, row: np.ndarray) -> None:
+        """Append a validated, logged row to the arena."""
+        n = self._n_rows
+        if n == self._ids.size:
+            # Full: continue in buffers twice the size.  Batches that
+            # captured a prefix of the old buffers keep reading them.
+            self._reset_arena_locked(
+                self._rows[:n], self._ids[:n], self._live[:n], room=n
+            )
+        self._rows[n] = row
+        self._ids[n] = row_id
+        self._live[n] = True
+        self._n_rows = n + 1
+        self._next_row_id = row_id + 1
+        self._n_live += 1
+        if self._moments is not None:
+            self._moments.update(row)
+
+    def _locate_locked(self, row_id: int) -> tuple[bool, int]:
+        """``(in_arena, position)`` of a live row, for a delete.
+
+        Raises:
+            KeyError: ``row_id`` is not a row of the arena or the base,
+                or it is already deleted.
+        """
+        n = self._n_rows
+        # Every arena id exceeds every base id (see _live_rowset), so
+        # one sorted search finds the row.
+        in_arena = n > 0 and row_id >= self._ids[0]
+        if in_arena:
+            live, position = self._live, _find(self._ids[:n], row_id)
+        else:
+            live, position = self._base_live, _find(self._view.base_ids, row_id)
+        if position < 0:
+            raise KeyError(f"unknown row id {row_id}")
+        if not live[position]:
+            raise KeyError(f"row id {row_id} is already deleted")
+        return in_arena, position
+
+    def _delete_locked(self, in_arena: bool, position: int) -> None:
+        """Clear the live flag of a located, logged row."""
+        if in_arena:
+            self._live[position] = False
+            self._n_dead_rows += 1
+        else:
+            self._base_live[position] = False
+            self._n_dead_base += 1
+        self._n_live -= 1
+        if self._moments is not None and self._moments.count > 0:
+            row = (
+                self._rows[position]
+                if in_arena
+                else np.asarray(self._view.points[position], dtype=np.float64)
+            )
+            self._moments.downdate(row)
+
+    def _reset_arena_locked(self, rows, ids, live, room: int = 0) -> None:
+        """Start fresh arena buffers holding ``rows``/``ids``/``live``.
+
+        The buffers leave space for ``room`` more rows (at least
+        :data:`_ARENA_ROWS` in all).  The old buffers are never written
+        again, so a batch that captured a prefix of them stays valid.
+        """
+        n = ids.size
+        capacity = max(_ARENA_ROWS, n + room)
+        self._rows = np.empty((capacity, self.dimensionality))
+        self._ids = np.empty(capacity, dtype=np.int64)
+        self._live = np.empty(capacity, dtype=bool)
+        self._rows[:n] = rows
+        self._ids[:n] = ids
+        self._live[:n] = live
+        self._n_rows = n
+        self._n_dead_rows = int(n - np.count_nonzero(live))
+
+    def _arena_locked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, ids, live)`` of the arena: two views and a copy."""
+        n = self._n_rows
+        return self._rows[:n], self._ids[:n], self._live[:n].copy()
 
     def _arm_drift_monitor(self) -> None:
         """Freeze the drift monitor at the active generation's basis."""
@@ -807,8 +880,7 @@ class MutableBackend:
         fire = False
         if (
             self._compact_threshold is not None
-            and len(self._memtable) + len(self._tombstones)
-            >= self._compact_threshold
+            and self._ops_locked() >= self._compact_threshold
         ):
             fire = True
         if (
@@ -833,8 +905,7 @@ class MutableBackend:
                     reason = "drift"
                 elif (
                     self._compact_threshold is not None
-                    and len(self._memtable) + len(self._tombstones)
-                    >= self._compact_threshold
+                    and self._ops_locked() >= self._compact_threshold
                 ):
                     reason = "size"
                 else:
@@ -846,25 +917,6 @@ class MutableBackend:
                     # e.g. the rowset emptied out; the next mutation
                     # re-arms the trigger.
                     pass
-
-    def _delta_snapshot_locked(self) -> tuple[np.ndarray, np.ndarray]:
-        """The memtable's live rows + ids (cached until dirtied)."""
-        if self._delta_dirty:
-            live = [
-                (gid, row)
-                for gid, row in self._memtable.items()
-                if gid not in self._tombstones
-            ]
-            if live:
-                self._delta_ids = np.array(
-                    [gid for gid, _ in live], dtype=np.intp
-                )
-                self._delta_rows = np.array([row for _, row in live])
-            else:
-                self._delta_ids = np.empty(0, dtype=np.intp)
-                self._delta_rows = np.empty((0, self.dimensionality))
-            self._delta_dirty = False
-        return self._delta_rows, self._delta_ids
 
     def _release(self, view: _View) -> None:
         with self._lock:
@@ -948,46 +1000,64 @@ class MutableIndexServer(IndexServer):
         return self._mutable.compact(reason)
 
 
-def _scan_delta(rows, ids, queries, k) -> BatchKnnResult:
-    """Exact top-``k`` of the memtable's live rows, for every query.
+def _scan_delta(rows, ids, live, queries, k) -> BatchKnnResult:
+    """Exact top-``k`` of the arena's live rows, for every query.
 
     Same arithmetic as the family's sequential scan — per-row
     subtract, square, sum, then a stable argsort — so a delta row's
     distance has exactly the bits a fresh index would produce, and
     ascending-id storage makes the stable sort break ties by lower
-    global id.  With fewer than ``k`` live rows the answer is that
-    much narrower.
+    global id.  Dead rows are dropped after the arithmetic and before
+    the sort.  With fewer than ``k`` live rows the answer is that much
+    narrower.
     """
     b = len(queries)
-    top_ids = np.empty((b, min(k, rows.shape[0])), dtype=np.int64)
+    keep = None if live.all() else np.flatnonzero(live)
+    if keep is not None:
+        ids = ids[keep]
+    top_ids = np.empty((b, min(k, ids.size)), dtype=np.int64)
     top_distances = np.empty(top_ids.shape)
+    # One scratch matrix for the batch, written in place, instead of
+    # two fresh (n, d) temporaries per query row.
+    gaps = np.empty(rows.shape)
     for row, vector in enumerate(queries):
-        squared = np.sum(np.square(rows - vector), axis=1)
+        np.subtract(rows, vector, out=gaps)
+        np.square(gaps, out=gaps)
+        squared = np.sum(gaps, axis=1)
+        if keep is not None:
+            squared = squared[keep]
         order = np.argsort(squared, kind="stable")[:k]
         top_ids[row] = ids[order]
         top_distances[row] = np.sqrt(squared[order])
     return BatchKnnResult.from_columns(
         top_ids,
         top_distances,
-        stats_block(b, points_scanned=rows.shape[0]),
+        stats_block(b, points_scanned=ids.size),
     )
 
 
-def _live_rowset(view: _View, tombs, rows, ids):
+def _find(ids: np.ndarray, row_id: int) -> int:
+    """Position of ``row_id`` in the ascending ``ids``, or ``-1``."""
+    position = int(ids.searchsorted(row_id))
+    if position < ids.size and ids[position] == row_id:
+        return position
+    return -1
+
+
+def _live_rowset(view: _View, base_live, rows, ids, live):
     """``(ids, rows)`` of the live rowset, in ascending global-id order.
 
-    The view's base rows minus ``tombs``, plus the memtable's live
-    ``rows``/``ids`` as captured.
+    The view's base rows where ``base_live`` is set, then the arena's
+    ``rows``/``ids`` where ``live`` is set.  Both parts ascend, and
+    every arena id exceeds every base id (an insert takes an id past
+    every allocated one, and a base holds only rows inserted before
+    its compaction), so the concatenation is already in order.
     """
-    base_live = np.fromiter(
-        (gid not in tombs for gid in view.base_ids),
-        dtype=bool,
-        count=view.base_ids.size,
+    all_ids = np.concatenate([view.base_ids[base_live], ids[live]])
+    all_rows = np.concatenate(
+        [np.asarray(view.points)[base_live], rows[live]]
     )
-    all_ids = np.concatenate([view.base_ids[base_live], ids])
-    all_rows = np.concatenate([np.asarray(view.points)[base_live], rows])
-    order = np.argsort(all_ids, kind="stable")
-    return all_ids[order], np.ascontiguousarray(all_rows[order])
+    return all_ids, all_rows
 
 
 def live_reference_index(server: MutableIndexServer):
@@ -1001,8 +1071,8 @@ def live_reference_index(server: MutableIndexServer):
     backend = server._mutable
     with backend._lock:
         view = backend._view
-        tombs = frozenset(backend._tombstones)
-        rows, ids = backend._delta_snapshot_locked()
-    live_ids, live_rows = _live_rowset(view, tombs, rows, ids)
+        base_live = backend._base_live.copy()
+        rows, ids, live = backend._arena_locked()
+    live_ids, live_rows = _live_rowset(view, base_live, rows, ids, live)
     index = build_index(server.kind, live_rows, **backend._index_kwargs)
     return index, live_ids

@@ -109,9 +109,14 @@ def _worker_main(
         item = requests.get()
         if item is None:
             return
-        batch_id, queries, k = item
+        batch_id, queries, k, live_bits = item
         try:
-            batch = index.query_batch(queries, k=k)
+            answering = index
+            if live_bits is not None:
+                size, bits = live_bits
+                live = np.unpackbits(bits, count=size).view(bool)
+                answering = index.with_live(live)
+            batch = answering.query_batch(queries, k=k)
             responses.put((batch_id, "ok", batch))
         except Exception as error:
             responses.put(
@@ -146,11 +151,13 @@ class _Slot:
 
 
 class _Inflight:
-    __slots__ = ("queries", "k", "future", "deadline", "resubmits")
+    __slots__ = ("queries", "k", "live_bits", "future", "deadline",
+                 "resubmits")
 
-    def __init__(self, queries, k, future, deadline) -> None:
+    def __init__(self, queries, k, live_bits, future, deadline) -> None:
         self.queries = queries
         self.k = k
+        self.live_bits = live_bits
         self.future = future
         self.deadline = deadline
         self.resubmits = 0
@@ -279,7 +286,9 @@ class WorkerPool:
 
     # -- submission ----------------------------------------------------
 
-    def submit(self, queries, k: int, *, deadline: float | None = None) -> Future:
+    def submit(
+        self, queries, k: int, *, deadline: float | None = None, live=None
+    ) -> Future:
         """Send one batch to a worker; resolves to a ``BatchKnnResult``.
 
         The rows are forwarded verbatim to ``index.query_batch`` in the
@@ -288,9 +297,14 @@ class WorkerPool:
         is an absolute ``time.perf_counter()`` value: if no response has
         arrived by then the future fails with
         :class:`~repro.serve.errors.DeadlineExceeded` and any late
-        worker answer is discarded.
+        worker answer is discarded.  ``live`` is an optional boolean
+        mask over the snapshot's rows, for kinds with ``with_live``: the
+        worker answers through ``index.with_live(live)``, which rejects
+        a mask of the wrong length.  It travels as its length and packed
+        bits (one bit per row) and is kept for a resubmission.
         """
         array = np.asarray(queries, dtype=np.float64)
+        live_bits = None if live is None else (len(live), np.packbits(live))
         future: Future = Future()
         now = time.perf_counter()
         with self._lock:
@@ -312,12 +326,13 @@ class WorkerPool:
                 key=lambda s: len(s.dispatched),
             )
             batch_id = next(self._ids)
-            self._inflight[batch_id] = _Inflight(array, k, future, deadline)
-            self._dispatch_locked(slot, batch_id, array, k, now)
+            entry = _Inflight(array, k, live_bits, future, deadline)
+            self._inflight[batch_id] = entry
+            self._dispatch_locked(slot, batch_id, entry, now)
         return future
 
     def _dispatch_locked(
-        self, slot: _Slot, batch_id: int, queries, k: int, now: float
+        self, slot: _Slot, batch_id: int, entry: _Inflight, now: float
     ) -> None:
         """Hand one batch to a slot's worker (caller holds the lock)."""
         if not slot.dispatched:
@@ -326,7 +341,7 @@ class WorkerPool:
             slot.quiet_since = now
         slot.dispatched.add(batch_id)
         slot.assigned.add(batch_id)
-        slot.requests.put((batch_id, queries, k))
+        slot.requests.put((batch_id, entry.queries, entry.k, entry.live_bits))
 
     @property
     def n_restarts(self) -> int:
@@ -471,9 +486,7 @@ class WorkerPool:
                         continue
                     entry.resubmits += 1
                     self._resubmitted += 1
-                    self._dispatch_locked(
-                        replacement, batch_id, entry.queries, entry.k, now
-                    )
+                    self._dispatch_locked(replacement, batch_id, entry, now)
             for entry in doomed:
                 _fail(
                     entry.future,

@@ -11,6 +11,8 @@ signature, ``submit(queries, k, *, deadline) -> Future[BatchKnnResult]``.
 :class:`IndexServer` runs the pipeline over one snapshot, answered by a
 :class:`~repro.serve.pool.WorkerPool` or, with ``n_workers=0``, by the
 in-process index on the batcher thread (no IPC, still micro-batched);
+these two snapshot backends also take an optional ``live`` row mask,
+which a mutable server passes for kinds with a masked scan;
 :class:`~repro.shard.server.ShardedIndexServer` runs the same pipeline
 over a fan-out to every shard.
 :class:`~repro.serve.mutation.MutableIndexServer` runs it over a
@@ -494,16 +496,21 @@ class _InlineIndex:
 
     The returned future is already resolved.  ``deadline`` is accepted
     for the backend signature only: in-process compute cannot be
-    preempted, so the pipeline enforces deadlines around it.
+    preempted, so the pipeline enforces deadlines around it.  ``live``
+    (a boolean row mask, for kinds with ``with_live``) answers over the
+    marked rows only.
     """
 
     def __init__(self, index) -> None:
         self._index = index
 
-    def submit(self, queries, k: int, *, deadline: float | None = None) -> Future:
+    def submit(
+        self, queries, k: int, *, deadline: float | None = None, live=None
+    ) -> Future:
         future: Future = Future()
         try:
-            future.set_result(self._index.query_batch(queries, k=k))
+            index = self._index if live is None else self._index.with_live(live)
+            future.set_result(index.query_batch(queries, k=k))
         except Exception as error:
             future.set_exception(error)
         return future

@@ -16,8 +16,8 @@ distances, same tie ordering, per-shard
 * :mod:`repro.shard.merge` — the exact top-k merge by
   ``(distance, global id)`` (:func:`merge_results`,
   :func:`merge_batches`), with the bit-identity argument in its module
-  docstring.  Mutable serving folds its memtable and tombstones through
-  the same merge.
+  docstring.  Mutable serving folds its base answer and its memtable
+  scan through the same merge.
 * :mod:`repro.shard.server` — :class:`ShardedIndexServer`, the
   :class:`~repro.serve.server.IndexServer` request pipeline (one
   batcher, one deadline reaper, one ledger) over a fan-out that sends

@@ -9,8 +9,9 @@ shards' ``(b, k)`` id and distance arrays are concatenated, padding and
 excluded ids are dropped, and one ``np.lexsort`` orders every row.
 
 The same merge folds a mutable server's base answer (local indices)
-with its memtable scan (global ids already) and drops the tombstoned
-rows, and it pools the answers of mutable shards.
+with its memtable scan (global ids already), dropping the deleted base
+rows when the base kind has no masked scan, and it pools the answers
+of mutable shards.
 
 Why this is bit-identical to the unsharded index:
 
@@ -84,9 +85,9 @@ def merge_batches(
         k: neighbors to keep after merging.  A row keeps fewer when its
             pooled candidates run short (an approximate index with
             sparse buckets), exactly like the unsharded index would.
-        exclude: global ids to drop before selection (a mutable
-            server's tombstones), as an int64 array or any sized
-            iterable of ints.
+        exclude: global ids to drop before selection (the deleted
+            base rows of a mutable server whose base kind has no masked
+            scan), as an int64 array or any sized iterable of ints.
 
     Returns:
         A :class:`BatchKnnResult` whose arrays hold global ids: the

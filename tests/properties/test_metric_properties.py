@@ -1,7 +1,7 @@
 """Property-based tests for metric axioms and index agreement."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -108,6 +108,22 @@ def corpora_and_queries(draw):
     return corpus, query, k
 
 
+def _kdtree_rounding_case():
+    """A tie the kd-tree's incremental bound once pruned.
+
+    Rows 1 and 4 are identical (zero), so they tie; brute force answers
+    ``[2, 0, 1]``.  The far subtree holding row 1 has a bound of
+    ``(144 + a*a) + a*a`` (``a`` the query's first coordinate), one ulp
+    above row 1's ``np.sum`` distance ``(a*a + a*a) + 144``, so a strict
+    bound comparison skipped it and answered ``[2, 0, 4]``.
+    """
+    corpus = np.zeros((20, 3))
+    corpus[0] = (1.0, 0.5, 0.0)
+    corpus[2] = (0.0, 0.0, 1.0)
+    query = np.array([1.616281528399469, 1.616281528399469, 12.0])
+    return corpus, query, 3
+
+
 class TestIndexAgreement:
     """Every index must return exactly the brute-force answer.
 
@@ -117,6 +133,7 @@ class TestIndexAgreement:
     """
 
     @given(corpora_and_queries())
+    @example(_kdtree_rounding_case())
     @settings(max_examples=100, deadline=None)
     def test_kdtree(self, case):
         corpus, query, k = case

@@ -20,9 +20,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.serve import MutableIndexServer, MutationError
+from repro.serve import MutableIndexServer, MutationError, WorkerPool
 from repro.serve.errors import ServerClosedError
 from repro.serve.mutation import live_reference_index
+from repro.serve.server import _InlineIndex
 
 
 def _assert_matches_reference(server, probes, k=3):
@@ -37,6 +38,21 @@ def _assert_matches_reference(server, probes, k=3):
         ]
         assert [n.distance for n in served.neighbors] == [
             n.distance for n in expected.neighbors
+        ]
+
+
+def _assert_batch_matches_reference(server, probes, k=4):
+    """``query_batch`` answered identically to a fresh rebuild."""
+    reference, live_ids = live_reference_index(server)
+    k = min(k, server.n_live)
+    batch = server.query_batch(probes, k)
+    expected = reference.query_batch(probes, k)
+    for served, want in zip(batch.results, expected.results):
+        assert [n.index for n in served.neighbors] == [
+            int(live_ids[n.index]) for n in want.neighbors
+        ]
+        assert [n.distance for n in served.neighbors] == [
+            n.distance for n in want.neighbors
         ]
 
 
@@ -285,6 +301,100 @@ class TestOnePipeline:
             for probe in probes[:5]:
                 server.query(probe, 3)
             assert server.stats().n_requests == 10
+
+
+class TestMaskedBase:
+    """Deleted base rows: a masked scan for brute force and projscreen.
+
+    Those kinds answer the base over its live rows, so the base is
+    asked for ``k`` however many rows are deleted; the other exact
+    kinds are asked for ``k`` plus the dead base rows.  Either way the
+    answer must stay identical to a fresh rebuild, including when the
+    base holds fewer live rows than ``k``.
+    """
+
+    @pytest.mark.parametrize("n_workers", [0, 1])
+    @pytest.mark.parametrize("kind", ["bruteforce", "projscreen"])
+    def test_identity_where_the_base_runs_short(
+        self, tmp_path, data, kind, n_workers
+    ):
+        corpus, probes, rng = data
+        root = os.path.join(tmp_path, f"{kind}-{n_workers}")
+        k = 5
+        with MutableIndexServer(
+            root, corpus, kind=kind, n_workers=n_workers
+        ) as server:
+            for _ in range(6):
+                server.insert(rng.standard_normal(5))
+            server.delete(41)  # a memtable row
+            # Leave 3 of the 40 base rows live, fewer than k.
+            for victim in range(37):
+                server.delete(victim)
+                if victim % 12 == 0:
+                    _assert_matches_reference(server, probes, k)
+            assert server.n_live == 3 + 5
+            _assert_matches_reference(server, probes, k)
+            _assert_batch_matches_reference(server, probes, k)
+            server.compact()
+            _assert_matches_reference(server, probes, k)
+            # The new base holds 8 rows; run it short again, plus a
+            # fresh memtable row and its delete, then resume from the
+            # log alone.
+            for victim in (37, 38, 40, 42):
+                server.delete(victim)
+            gid = server.insert(rng.standard_normal(5))
+            server.insert(rng.standard_normal(5))
+            server.delete(gid)
+            _assert_matches_reference(server, probes, k)
+            _assert_batch_matches_reference(server, probes, k)
+            expected = [
+                [(n.index, n.distance) for n in server.query(p, k).neighbors]
+                for p in probes
+            ]
+        with MutableIndexServer(
+            root, kind=kind, n_workers=n_workers
+        ) as server:
+            assert server.n_live == 4 + 1
+            assert server.memtable_ops == 4 + 2 + 1
+            got = [
+                [(n.index, n.distance) for n in server.query(p, k).neighbors]
+                for p in probes
+            ]
+            assert got == expected
+            _assert_matches_reference(server, probes, k)
+            _assert_batch_matches_reference(server, probes, k)
+
+    @pytest.mark.parametrize("n_workers", [0, 1])
+    @pytest.mark.parametrize(
+        "kind, widened", [("bruteforce", 0), ("projscreen", 0), ("kdtree", 10)]
+    )
+    def test_base_is_asked_for_k(
+        self, tmp_path, data, monkeypatch, kind, widened, n_workers
+    ):
+        corpus, probes, rng = data
+        asked = []
+        backend = WorkerPool if n_workers else _InlineIndex
+        submit = backend.submit
+
+        def spy(self, queries, k, **kwargs):
+            asked.append(k)
+            return submit(self, queries, k, **kwargs)
+
+        monkeypatch.setattr(backend, "submit", spy)
+        with MutableIndexServer(
+            os.path.join(tmp_path, kind), corpus, kind=kind,
+            n_workers=n_workers,
+        ) as server:
+            for victim in range(10):
+                server.delete(victim)
+            server.delete(server.insert(rng.standard_normal(5)))
+            asked.clear()
+            server.query(probes[0], 3)
+            server.query_batch(probes, 4)
+            _assert_matches_reference(server, probes)
+        # Ten dead base rows: a kind without a masked scan still widens
+        # by them; the dead memtable row never reaches the base.
+        assert asked[:2] == [3 + widened, 4 + widened]
 
 
 class TestDrift:

@@ -3,12 +3,13 @@
 import os
 import signal
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro.search.bruteforce import BruteForceIndex
-from repro.search.snapshot import SnapshotError, write_snapshot
+from repro.search.snapshot import SnapshotError, load_index, write_snapshot
 from repro.serve import (
     DeadlineExceeded,
     FaultPlan,
@@ -50,6 +51,36 @@ def assert_matches_local(corpus, batch, queries, k):
         assert got.stats == expected.stats
 
 
+class _DiesOnMask:
+    """An index whose process exits when asked for a masked view."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.n_points = inner.n_points
+
+    def query_batch(self, queries, k=1):
+        return self._inner.query_batch(queries, k=k)
+
+    def with_live(self, live):
+        os._exit(3)
+
+
+@dataclass(frozen=True)
+class _FirstWorkerDiesOnMask:
+    """Loader: the first worker to claim ``marker_path`` gets _DiesOnMask."""
+
+    marker_path: str
+
+    def __call__(self, snapshot_path, mmap_points):
+        index = load_index(snapshot_path, mmap_points=mmap_points)
+        try:
+            with open(self.marker_path, "x"):
+                pass
+        except FileExistsError:
+            return index
+        return _DiesOnMask(index)
+
+
 class TestSubmission:
     def test_batch_matches_local_query_batch(self, corpus, snapshot, rng):
         queries = rng.normal(size=(9, 5))
@@ -70,6 +101,18 @@ class TestSubmission:
             future = pool.submit(rng.normal(size=(3, 9)), 2)  # wrong width
             with pytest.raises(WorkerError, match="ValueError"):
                 future.result(timeout=30)
+
+    def test_masked_batch_matches_local_view(self, corpus, snapshot, rng):
+        queries = rng.normal(size=(6, 5))
+        live = rng.random(corpus.shape[0]) < 0.3
+        with WorkerPool(snapshot, 1) as pool:
+            batch = pool.submit(queries, 4, live=live).result(timeout=30)
+            short = pool.submit(queries, 4, live=live[:-1])
+            with pytest.raises(WorkerError, match=r"boolean \(120,\) mask"):
+                short.result(timeout=30)
+        local = BruteForceIndex(corpus).with_live(live).query_batch(queries, 4)
+        assert np.array_equal(batch.indices, local.indices)
+        assert np.array_equal(batch.distances, local.distances)
 
     def test_pool_is_reusable_after_worker_error(self, corpus, snapshot, rng):
         with WorkerPool(snapshot, 1) as pool:
@@ -92,6 +135,21 @@ class TestCrashRecovery:
             assert wait_for(lambda: pool.worker_pids() != [pid])
             batch = pool.submit(queries, 2).result(timeout=30)
         assert_matches_local(corpus, batch, queries, 2)
+
+
+    def test_masked_batch_is_resubmitted_with_its_mask(
+        self, corpus, snapshot, tmp_path, rng
+    ):
+        queries = rng.normal(size=(4, 5))
+        live = rng.random(corpus.shape[0]) < 0.5
+        loader = _FirstWorkerDiesOnMask(str(tmp_path / "claim"))
+        with WorkerPool(snapshot, 1, index_loader=loader) as pool:
+            batch = pool.submit(queries, 3, live=live).result(timeout=30)
+            assert pool.n_resubmitted == 1
+        local = BruteForceIndex(corpus).with_live(live).query_batch(queries, 3)
+        assert np.array_equal(batch.indices, local.indices)
+        assert np.array_equal(batch.distances, local.distances)
+        assert set(batch.indices.ravel()) <= set(np.flatnonzero(live))
 
 
 class TestHungWorkerRecovery:

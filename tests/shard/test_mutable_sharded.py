@@ -262,6 +262,51 @@ class TestOnePipeline:
         assert multiprocessing.active_children() == []
 
 
+class TestMaskedMemberBases:
+    @pytest.mark.parametrize("n_workers", [0, 1])
+    @pytest.mark.parametrize("kind", ["bruteforce", "projscreen"])
+    def test_identity_where_member_bases_run_short(
+        self, tmp_path, data, kind, n_workers
+    ):
+        """Each member's base holds fewer live rows than ``k``.
+
+        Brute force and projscreen members answer their bases through a
+        masked scan, asked for ``k``; the merged answer must still equal
+        one fresh index over every live row, before and after
+        compaction and across a resume from the logs.
+        """
+        corpus, probes, rng = data
+        root = os.path.join(tmp_path, f"{kind}-{n_workers}")
+        live = {gid: corpus[gid] for gid in range(30)}
+        k = 4
+        with MutableShardedServer(
+            root, corpus, n_shards=3, kind=kind, n_workers=n_workers
+        ) as server:
+            for _ in range(6):
+                row = rng.standard_normal(4)
+                live[server.insert(row)] = row
+            # Each member keeps 1 of its 10 seed rows live.
+            for victim in range(27):
+                server.delete(victim)
+                del live[victim]
+                if victim % 9 == 0:
+                    _assert_matches_fresh(server, live, probes, k)
+            _assert_matches_fresh(server, live, probes, k)
+            _assert_batch_matches_fresh(server, live, probes, k)
+            server.compact_all()
+            _assert_batch_matches_fresh(server, live, probes, k)
+            for victim in (27, 30, 31):
+                server.delete(victim)
+                del live[victim]
+            _assert_matches_fresh(server, live, probes, k)
+        with MutableShardedServer(
+            root, n_shards=3, kind=kind, n_workers=n_workers
+        ) as server:
+            assert server.n_live == len(live)
+            _assert_matches_fresh(server, live, probes, k)
+            _assert_batch_matches_fresh(server, live, probes, k)
+
+
 class TestShardedResume:
     def test_resume_continues_global_ids(self, tmp_path, data):
         corpus, probes, rng = data
