@@ -98,7 +98,7 @@ def _run():
     queries = rng.standard_normal((_N_QUERIES, _D)) @ np.diag(
         np.full(_D, corpus.std())
     )
-    policy = BatchPolicy(max_batch=64, max_wait_ms=1.0)
+    policy = BatchPolicy(max_batch=64)
     reference = BruteForceIndex(corpus)
 
     rows = []

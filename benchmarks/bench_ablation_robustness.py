@@ -60,7 +60,7 @@ else:
     _N, _D = 2_000, 12
     _N_QUERIES = 64
 
-_FAST = {"max_batch": 4, "max_wait_ms": 1.0}
+_FAST = {"max_batch": 4}
 
 
 def _scenarios(workdir):
@@ -114,11 +114,10 @@ def _scenarios(workdir):
             None,
         ),
         (
+            # The first batch outlasts every 20 ms deadline, and the
+            # requests queued behind it expire before it finishes.
             "deadline_expiry",
-            dict(
-                n_workers=0,
-                policy=BatchPolicy(max_batch=1_000, max_wait_ms=3_600_000.0),
-            ),
+            dict(n_workers=0, policy=fast, index_loader=slow),
             20.0,
         ),
     ]

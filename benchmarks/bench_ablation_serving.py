@@ -47,11 +47,9 @@ _K = 3
 _RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 _JSON_NAME = "BENCH_serving.json"
 
-# Flush at 128 requests or 5 ms, whichever comes first.  The wide batch
-# is what buys the vectorized speedup; the deadline bounds tail latency
-# when traffic is sparse.
+# A batch starts whenever a worker is free and carries at most 128
+# requests: the wide batch is what buys the vectorized speedup.
 _POLICY_MAX_BATCH = 128
-_POLICY_MAX_WAIT_MS = 5.0
 
 if _SMOKE:
     _N, _D = 300, 8
@@ -88,9 +86,7 @@ _FAMILIES = [
 def _run():
     rng = np.random.default_rng(exp.SEED)
     corpus = rng.standard_normal((_N, _D))
-    policy = BatchPolicy(
-        max_batch=_POLICY_MAX_BATCH, max_wait_ms=_POLICY_MAX_WAIT_MS
-    )
+    policy = BatchPolicy(max_batch=_POLICY_MAX_BATCH)
     rows = []
     with tempfile.TemporaryDirectory() as workdir:
         for name, build, worker_grid, n_queries in _FAMILIES:
@@ -140,10 +136,7 @@ def _emit_json(rows):
             "corpus_size": _N,
             "dims": _D,
             "k": _K,
-            "policy": {
-                "max_batch": _POLICY_MAX_BATCH,
-                "max_wait_ms": _POLICY_MAX_WAIT_MS,
-            },
+            "policy": {"max_batch": _POLICY_MAX_BATCH},
             "seed": exp.SEED,
         },
         "runs": rows,

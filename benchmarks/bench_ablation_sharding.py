@@ -63,7 +63,7 @@ def _run():
     corpus = rng.standard_normal((_N, _D))
     queries = rng.standard_normal((_N_QUERIES, _D))
     index = BruteForceIndex(corpus)
-    policy = BatchPolicy(max_batch=64, max_wait_ms=1.0)
+    policy = BatchPolicy(max_batch=64)
     rows = []
     with tempfile.TemporaryDirectory() as workdir:
         for n_shards, method in _CONFIGS:

@@ -472,7 +472,6 @@ def _command_serve_bench(args) -> int:
     try:
         policy = BatchPolicy(
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             max_pending=args.max_pending,
             shed_policy=args.shed_policy,
         )
@@ -498,8 +497,7 @@ def _command_serve_bench(args) -> int:
         ("corpus", f"{args.n} x {args.dims}"),
         ("queries / k", f"{args.queries} / {args.k}"),
         ("workers", args.workers or "in-process"),
-        ("policy", f"max_batch={args.max_batch}, "
-                   f"max_wait_ms={args.max_wait_ms}"),
+        ("policy", f"max_batch={args.max_batch}"),
     ]
     if sharded:
         rows.append(("shards", f"{args.shards} ({args.shard_method})"))
@@ -680,9 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench.add_argument("--workers", type=int, default=2,
                              help="worker processes (0 = in-process)")
     serve_bench.add_argument("--max-batch", type=int, default=128,
-                             help="micro-batch flush size")
-    serve_bench.add_argument("--max-wait-ms", type=float, default=2.0,
-                             help="micro-batch flush deadline")
+                             help="most requests per micro-batch; a batch "
+                                  "starts whenever a worker is free")
     serve_bench.add_argument("--max-pending", type=int, default=None,
                              help="admission bound on queued requests "
                                   "(default: unbounded)")

@@ -6,9 +6,10 @@ turns the repo's batch kernels and snapshot persistence into a serving
 stack that realizes the claim for single-query traffic:
 
 * :class:`MicroBatcher` — coalesces individually arriving ``(query, k)``
-  requests into ``query_batch`` calls under a size/deadline policy
-  (:class:`BatchPolicy`), so one-at-a-time traffic inherits the
-  vectorized batch speedup.  The same queue enforces per-request
+  requests into ``query_batch`` calls, starting a batch whenever the
+  backend has a free slot (:class:`BatchPolicy` caps its size), so
+  one-at-a-time traffic inherits the vectorized batch speedup without
+  waiting on a timer.  The same queue enforces per-request
   deadlines and the bounded admission/load-shedding policy.
 * :class:`WorkerPool` — N OS processes, each ``load()``-ing the same
   index snapshot with ``mmap_points=True``.  The corpus pages are shared

@@ -2,13 +2,17 @@
 
 Single-query traffic pays per-call overhead that the vectorized
 ``query_batch`` kernels amortize away; the :class:`MicroBatcher` closes
-that gap by coalescing requests that arrive within a short window into
-one batch.  The policy is the classic size-or-deadline rule: a batch is
-flushed as soon as it holds :attr:`BatchPolicy.max_batch` requests *or*
-its oldest request has waited :attr:`BatchPolicy.max_wait_ms`,
-whichever happens first.  Requests with different ``k`` never share a
-batch (``query_batch`` takes one ``k``), so pending requests are grouped
-per ``k``.
+that gap by coalescing the requests that arrive while the backend is
+busy into one batch.  There is no timer.  A batch starts as soon as the
+backend has a free slot, and while it has none the queued requests grow
+into the next batch, up to :attr:`BatchPolicy.max_batch` rows.  A
+serial stream therefore never waits for company, and a busy backend is
+handed full batches.  The backend runs at most ``max_in_flight``
+batches at once (a worker pool's worker count, 1 in-process); a batch
+holds its slot from its flush until its answer future resolves.
+Requests with different ``k`` never share a batch (``query_batch``
+takes one ``k``), so pending requests are grouped per ``k``, and a free
+slot goes to the group holding the oldest request.
 
 Two robustness features ride on the same queue:
 
@@ -16,14 +20,18 @@ Two robustness features ride on the same queue:
   (``time.perf_counter()`` seconds); a request still queued when its
   deadline passes has its future failed with
   :class:`~repro.serve.errors.DeadlineExceeded` instead of waiting for a
-  flush that may never help it.  The flusher thread arms its sleep to
-  the earliest of the flush deadlines *and* the request deadlines.
+  flush that may never help it.  The flusher thread sleeps until a
+  submit it can act on, a batch answer, or the earliest request
+  deadline.
 * **Bounded admission.**  When :attr:`BatchPolicy.max_pending` is set,
-  the total number of queued requests never exceeds it.  An arrival
-  that would overflow is handled per :attr:`BatchPolicy.shed_policy`:
-  ``"reject-new"`` raises :class:`~repro.serve.errors.ServerOverloaded`
-  in the submitting caller, ``"drop-oldest"`` admits the newcomer and
-  fails the oldest queued request's future with the same error.
+  the total number of queued requests never exceeds it.  Requests wait
+  here, not in the backend, while every slot is busy, so this bounds
+  the whole backlog: at most ``max_pending`` queued requests plus
+  ``max_in_flight`` batches.  An arrival that would overflow is handled
+  per :attr:`BatchPolicy.shed_policy`: ``"reject-new"`` raises
+  :class:`~repro.serve.errors.ServerOverloaded` in the submitting
+  caller, ``"drop-oldest"`` admits the newcomer and fails the oldest
+  queued request's future with the same error.
 
 Batching is a latency/throughput trade only — the flushed batch goes
 through the same ``query_batch`` engine whose answers are bit-identical
@@ -54,15 +62,12 @@ _SHED_POLICIES = ("reject-new", "drop-oldest")
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """Flush and admission policy for the micro-batcher.
+    """Batch size and admission policy for the micro-batcher.
 
     Attributes:
-        max_batch: flush a group as soon as it holds this many requests.
-        max_wait_ms: flush a group once its oldest request has waited
-            this long, even if the batch is not full.  ``0`` disables
-            artificial waiting: a group is flushed as soon as the
-            flusher thread gets to it, which still yields natural
-            batching while a previous flush is in flight.
+        max_batch: the most requests one batch may carry.  A batch
+            starts as soon as the backend has a free slot, with
+            whatever is queued; a group larger than this is split.
         max_pending: bound on the total number of queued (not yet
             flushed) requests across all ``k`` groups; ``None`` leaves
             admission unbounded (the pre-hardening behavior).
@@ -74,7 +79,6 @@ class BatchPolicy:
     """
 
     max_batch: int = 64
-    max_wait_ms: float = 2.0
     max_pending: int | None = None
     shed_policy: str = "reject-new"
 
@@ -82,10 +86,6 @@ class BatchPolicy:
         if self.max_batch < 1:
             raise ValueError(
                 f"max_batch must be positive, got {self.max_batch}"
-            )
-        if self.max_wait_ms < 0:
-            raise ValueError(
-                f"max_wait_ms must be non-negative, got {self.max_wait_ms}"
             )
         if self.max_pending is not None and self.max_pending < 1:
             raise ValueError(
@@ -102,18 +102,18 @@ class _Group:
     """Pending requests sharing one ``k`` (rows kept in arrival order).
 
     ``deadlines`` holds each request's absolute deadline (or ``None``),
-    ``seqs`` its global arrival number — the drop-oldest policy uses the
-    latter to find the oldest request across groups.
+    ``seqs`` its global arrival number — a free slot and the
+    drop-oldest policy both use the latter to find the oldest request
+    across groups.
     """
 
-    __slots__ = ("rows", "futures", "deadlines", "seqs", "flush_at")
+    __slots__ = ("rows", "futures", "deadlines", "seqs")
 
-    def __init__(self, flush_at: float) -> None:
+    def __init__(self) -> None:
         self.rows: list[np.ndarray] = []
         self.futures: list[Future] = []
         self.deadlines: list[float | None] = []
         self.seqs: list[int] = []
-        self.flush_at = flush_at
 
 
 class MicroBatcher:
@@ -124,25 +124,47 @@ class MicroBatcher:
             invoked on the batcher's background thread with a
             ``(rows, d)`` float64 matrix, the matching per-row futures,
             and the per-row absolute deadlines (``None`` where a request
-            has no deadline).  It must resolve every future (result or
-            exception); an exception escaping ``flush`` itself is routed
-            to the batch's futures.
-        policy: the size/deadline flush policy plus admission bound.
+            has no deadline).  It starts the batch and returns the
+            batch's answer future without waiting for it; the batch
+            holds a slot until that future resolves, with a result or
+            an exception.  It must resolve every request future; an
+            exception escaping ``flush`` itself is routed to the
+            batch's futures and frees the slot.
+        policy: the batch size limit plus admission bound.
+        max_in_flight: how many batches the backend runs at once.  A
+            backend that answers on the calling thread returns an
+            already resolved future, so with it every flush runs as
+            soon as the previous one returns.
 
-    ``submit`` never blocks on query execution — it enqueues and wakes
-    the flusher.  Batches never exceed ``policy.max_batch`` rows: when
-    requests outrun the flusher, an oversized group is split and the
-    remainder is re-armed with a fresh flush deadline (per-request
-    deadlines are untouched by the re-arm and keep counting down).
+    ``submit`` never blocks on query execution — it enqueues and, when
+    the flusher can act on the arrival, wakes it.  Batches never exceed
+    ``policy.max_batch`` rows: when requests outrun the backend, a group
+    is split and the remainder waits for the next free slot (per-request
+    deadlines keep counting down meanwhile).
     """
 
-    def __init__(self, flush, policy: BatchPolicy | None = None) -> None:
+    def __init__(
+        self,
+        flush,
+        policy: BatchPolicy | None = None,
+        *,
+        max_in_flight: int = 1,
+    ) -> None:
+        if max_in_flight < 1:
+            raise ValueError(
+                f"max_in_flight must be positive, got {max_in_flight}"
+            )
         self._flush = flush
         self.policy = policy if policy is not None else BatchPolicy()
+        self._max_in_flight = max_in_flight
+        self._in_flight = 0
         self._cond = threading.Condition()
         self._pending: dict[int, _Group] = {}
         self._n_pending = 0
         self._seq = itertools.count()
+        # When the sleeping flusher wakes on its own (the earliest
+        # queued deadline; ``None``: only when notified).
+        self._wake_at: float | None = None
         self._closed = False
         self._thread = threading.Thread(
             target=self._run, name="repro-microbatcher", daemon=True
@@ -182,20 +204,18 @@ class MicroBatcher:
                 victim = self._drop_oldest_locked()
             group = self._pending.get(k)
             if group is None:
-                flush_at = time.perf_counter() + self.policy.max_wait_ms / 1e3
-                group = _Group(flush_at)
-                self._pending[k] = group
-                self._cond.notify()
+                group = self._pending[k] = _Group()
             group.rows.append(query)
             group.futures.append(future)
             group.deadlines.append(deadline)
             group.seqs.append(next(self._seq))
             self._n_pending += 1
-            if deadline is not None:
-                # The flusher's sleep may be armed past this deadline;
-                # wake it so it re-arms to the new earliest wakeup.
-                self._cond.notify()
-            if len(group.rows) >= self.policy.max_batch:
+            # Wake the flusher if a free slot can take this request now,
+            # or if its sleep is armed past this request's deadline.
+            if self._in_flight < self._max_in_flight or (
+                deadline is not None
+                and (self._wake_at is None or deadline < self._wake_at)
+            ):
                 self._cond.notify()
         if victim is not None:
             _fail(
@@ -208,7 +228,12 @@ class MicroBatcher:
         return future
 
     def close(self) -> None:
-        """Flush everything still pending and stop the flusher thread."""
+        """Flush everything still pending and stop the flusher thread.
+
+        Queued requests are flushed even while every slot is busy; the
+        caller waits for their answers (a pool's ``drain``), not the
+        batcher.
+        """
         with self._cond:
             if self._closed:
                 return
@@ -224,9 +249,13 @@ class MicroBatcher:
 
     # -- queue maintenance (call with the lock held) -------------------
 
+    def _oldest_k_locked(self) -> int:
+        """The ``k`` whose group holds the oldest queued request."""
+        return min(self._pending, key=lambda key: self._pending[key].seqs[0])
+
     def _drop_oldest_locked(self) -> Future:
         """Remove the oldest queued request; return its (unfailed) future."""
-        k = min(self._pending, key=lambda key: self._pending[key].seqs[0])
+        k = self._oldest_k_locked()
         group = self._pending[k]
         group.rows.pop(0)
         future = group.futures.pop(0)
@@ -265,44 +294,48 @@ class MicroBatcher:
             group.seqs = [group.seqs[i] for i in keep]
         return expired
 
-    def _pop_ready(self, now: float) -> tuple[int, list, list, list] | None:
-        """Detach one flushable ``(k, rows, futures, deadlines)``."""
-        for k, group in self._pending.items():
-            full = len(group.rows) >= self.policy.max_batch
-            if not (full or group.flush_at <= now or self._closed):
-                continue
-            if len(group.rows) > self.policy.max_batch:
-                cut = self.policy.max_batch
-                rows = group.rows[:cut]
-                futures = group.futures[:cut]
-                deadlines = group.deadlines[:cut]
-                group.rows = group.rows[cut:]
-                group.futures = group.futures[cut:]
-                group.deadlines = group.deadlines[cut:]
-                group.seqs = group.seqs[cut:]
-                # The survivors arrived while the flusher was busy; give
-                # them a full wait window rather than an instant flush.
-                # Their own request deadlines keep counting down.
-                group.flush_at = now + self.policy.max_wait_ms / 1e3
-                self._n_pending -= cut
-                return k, rows, futures, deadlines
+    def _pop_ready(self) -> tuple[int, list, list, list] | None:
+        """Detach the next batch ``(k, rows, futures, deadlines)``.
+
+        ``None`` while nothing is queued or every slot is busy; after
+        ``close`` the slots no longer gate the flush.  The batch takes
+        a slot, which :meth:`_free_slot` returns.
+        """
+        if not self._pending or (
+            self._in_flight >= self._max_in_flight and not self._closed
+        ):
+            return None
+        k = self._oldest_k_locked()
+        group = self._pending[k]
+        cut = self.policy.max_batch
+        if len(group.rows) > cut:
+            rows = group.rows[:cut]
+            futures = group.futures[:cut]
+            deadlines = group.deadlines[:cut]
+            group.rows = group.rows[cut:]
+            group.futures = group.futures[cut:]
+            group.deadlines = group.deadlines[cut:]
+            group.seqs = group.seqs[cut:]
+        else:
             del self._pending[k]
-            self._n_pending -= len(group.rows)
-            return k, group.rows, group.futures, group.deadlines
-        return None
+            rows, futures, deadlines = (
+                group.rows, group.futures, group.deadlines
+            )
+        self._n_pending -= len(rows)
+        self._in_flight += 1
+        return k, rows, futures, deadlines
 
     def _next_wakeup(self, now: float) -> float | None:
-        """Seconds until the earliest flush or request deadline."""
-        candidates = [g.flush_at for g in self._pending.values()]
-        candidates.extend(
+        """Seconds until the earliest queued request deadline."""
+        deadlines = [
             d
             for g in self._pending.values()
             for d in g.deadlines
             if d is not None
-        )
-        if not candidates:
+        ]
+        if not deadlines:
             return None
-        return min(candidates) - now
+        return min(deadlines) - now
 
     # -- flusher thread ------------------------------------------------
 
@@ -316,12 +349,13 @@ class MicroBatcher:
                     expired = self._collect_expired_locked(now)
                     if expired:
                         break
-                    ready = self._pop_ready(now)
+                    ready = self._pop_ready()
                     if ready is not None:
                         break
                     if self._closed and not self._pending:
                         return
                     timeout = self._next_wakeup(now)
+                    self._wake_at = None if timeout is None else now + timeout
                     if timeout is None or timeout > 0:
                         self._cond.wait(timeout)
             for future in expired:
@@ -339,8 +373,15 @@ class MicroBatcher:
         self, k: int, rows: list, futures: list, deadlines: list
     ) -> None:
         try:
-            self._flush(np.stack(rows), k, futures, deadlines)
+            answer = self._flush(np.stack(rows), k, futures, deadlines)
+            answer.add_done_callback(self._free_slot)
         except Exception as error:  # route to the waiting callers
+            self._free_slot()
             for future in futures:
                 _fail(future, error)
 
+    def _free_slot(self, _answer: Future | None = None) -> None:
+        """A batch was answered (or never started): wake the flusher."""
+        with self._cond:
+            self._in_flight -= 1
+            self._cond.notify()

@@ -404,6 +404,11 @@ class MutableBackend:
             return self._n_live
 
     @property
+    def n_workers(self) -> int:
+        """Worker processes answering each generation's base (0: in-process)."""
+        return self._n_workers
+
+    @property
     def generation_id(self) -> int:
         """Id of the generation currently serving as the base."""
         with self._lock:
@@ -968,7 +973,7 @@ class MutableIndexServer(IndexServer):
             default_deadline_ms=default_deadline_ms,
         )
         self._mutable = MutableBackend(root, points, **options)
-        self._start(self._mutable, [self._mutable])
+        self._start(self._mutable, [self._mutable], self._mutable.n_workers)
 
     kind = property(lambda self: self._mutable.kind)
     dimensionality = property(lambda self: self._mutable.dimensionality)

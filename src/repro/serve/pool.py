@@ -61,6 +61,7 @@ import queue as queue_module
 import threading
 import time
 from concurrent.futures import Future
+from multiprocessing.connection import wait as wait_readable
 
 import numpy as np
 
@@ -384,7 +385,14 @@ class WorkerPool:
                 self._check_workers()
                 last_liveness = now
             if not progressed:
-                time.sleep(self._POLL_SECONDS)
+                # Sleep until a worker answers or the poll period ends:
+                # an answer must not wait out the period, because the
+                # micro-batcher starts the next batch only once this
+                # one is answered.
+                wait_readable(
+                    [slot.responses._reader for slot in self._slots],
+                    self._POLL_SECONDS,
+                )
 
     def _resolve(self, slot: _Slot, item) -> None:
         batch_id, status, payload = item

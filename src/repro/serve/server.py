@@ -40,7 +40,9 @@ submitted future resolves:
   outlives the deadline by more than scheduling noise.
 * ``policy.max_pending`` bounds admission; an overflowing request is
   shed per ``policy.shed_policy`` with
-  :class:`~repro.serve.errors.ServerOverloaded`.
+  :class:`~repro.serve.errors.ServerOverloaded`.  Requests wait in the
+  batcher until the backend has a free slot, so this bounds a pooled
+  server's backlog too.
 * crashed workers restart and their batches are resubmitted (at most
   once each); a *hung* worker is detected by the ``heartbeat_timeout``
   and killed into the same recovery path.
@@ -130,17 +132,22 @@ class _ServingPipeline:
         self._stats = ServingStats()
         self._closed = False
 
-    def _start(self, backend, pools: list) -> None:
+    def _start(self, backend, pools: list, n_workers: int) -> None:
         """Attach the batch backend and start the batcher and reaper.
 
         ``pools`` are what :meth:`close` drains and then closes, and
         whose restart counters join the report: the worker pools behind
         ``backend``, or mutable backends, which drain and close the
-        pool of whichever generation they serve.
+        pool of whichever generation they serve.  ``n_workers`` is the
+        server's worker count (per shard: a fan-out batch takes one
+        worker in every shard), so the batcher keeps that many batches
+        in flight, and one when the backend answers in-process (``0``).
         """
         self._backend = backend
         self._pools = pools
-        self._batcher = MicroBatcher(self._flush, self._policy)
+        self._batcher = MicroBatcher(
+            self._flush, self._policy, max_in_flight=max(1, n_workers)
+        )
         self._reaper = _DeadlineReaper()
 
     # -- introspection -------------------------------------------------
@@ -260,8 +267,9 @@ class _ServingPipeline:
     ) -> BatchKnnResult:
         """One explicit batch, bypassing the micro-batcher.
 
-        Callers that already hold a batch should not pay the coalescing
-        wait; the batch goes to the backend as one call.  Recorded in
+        Callers that already hold a batch need no coalescing: the batch
+        goes to the backend as one call, without waiting for a batcher
+        slot or counting against one.  Recorded in
         the batch histogram but not in the single-request latency
         percentiles.  Explicit batches bypass admission control, but
         honor the same deadline contract as :meth:`query`:
@@ -343,7 +351,7 @@ class _ServingPipeline:
         else:
             self._stats.record_failure()
 
-    def _flush(self, queries, k: int, futures: list, deadlines: list) -> None:
+    def _flush(self, queries, k: int, futures: list, deadlines: list) -> Future:
         """Micro-batcher flush hook: hand one coalesced batch to the backend.
 
         Releasing each member at its own deadline is the reaper's job
@@ -356,15 +364,25 @@ class _ServingPipeline:
         never inherit a neighbor's deadline).  Members are individually
         re-checked at delivery so a late answer is never delivered as a
         result.
+
+        Returns the future whose resolution frees the batch's slot in
+        the batcher.  It resolves as soon as the backend answers, before
+        the members' results are built, so the next batch can start
+        meanwhile.
         """
         finite = [d for d in deadlines if d is not None]
         batch_deadline = (
             max(finite) if len(finite) == len(deadlines) and finite else None
         )
         answer = self._backend.submit(queries, k, deadline=batch_deadline)
-        answer.add_done_callback(
-            lambda f: self._distribute(f, futures, deadlines)
-        )
+        answered: Future = Future()
+
+        def deliver(done: Future) -> None:
+            answered.set_result(None)
+            self._distribute(done, futures, deadlines)
+
+        answer.add_done_callback(deliver)
+        return answered
 
     def _distribute(self, answer: Future, futures: list, deadlines: list) -> None:
         error = answer.exception()
@@ -427,8 +445,9 @@ class IndexServer(_ServingPipeline):
             still micro-batched); ``>= 1`` runs a :class:`WorkerPool`
             whose workers share the mmap'd corpus through the page
             cache.
-        policy: micro-batching flush policy plus the admission bound
-            (default :class:`BatchPolicy`).
+        policy: micro-batch size limit plus the admission bound
+            (default :class:`BatchPolicy`).  A batch starts whenever
+            fewer than ``max(1, n_workers)`` batches are in flight.
         cache_capacity: LRU result-cache entries; ``0`` disables the
             cache.
         heartbeat_timeout: seconds a worker may hold unanswered work
@@ -480,7 +499,7 @@ class IndexServer(_ServingPipeline):
             heartbeat_timeout=heartbeat_timeout,
         )
         pools = [backend] if isinstance(backend, WorkerPool) else []
-        self._start(backend, pools)
+        self._start(backend, pools, n_workers)
 
     @property
     def n_points(self) -> int:

@@ -50,7 +50,8 @@ class MutableShardedServer(_ServingPipeline):
         n_shards: member count; fixed for the deployment's lifetime.
         kind / index_kwargs / compact_threshold / drift_threshold /
         n_workers: forwarded to every member
-            :class:`~repro.serve.mutation.MutableBackend`.
+            :class:`~repro.serve.mutation.MutableBackend`; the batcher
+            keeps ``max(1, n_workers)`` fan-out batches in flight.
         wal_sync: write-ahead log fsync policy, forwarded to every
             member — each shard keeps its own log.  Under ``"always"``
             an acknowledged op is durable on its owning shard, so resume
@@ -131,7 +132,9 @@ class MutableShardedServer(_ServingPipeline):
         # Members answer in global ids (no id map) and are drained and
         # closed by the pipeline like worker pools.
         self._start(
-            _ShardFanout(self._members, [None] * n_shards), self._members
+            _ShardFanout(self._members, [None] * n_shards),
+            self._members,
+            n_workers,
         )
 
     # -- introspection -------------------------------------------------

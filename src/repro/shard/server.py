@@ -145,9 +145,11 @@ class ShardedIndexServer(_ServingPipeline):
         n_workers: worker processes *per shard* (``0`` answers every
             shard in-process on the batcher thread, still
             micro-batched).
-        policy: micro-batching flush policy plus the admission bound of
+        policy: micro-batch size limit plus the admission bound of
             the one request queue (default
-            :class:`~repro.serve.batcher.BatchPolicy`).
+            :class:`~repro.serve.batcher.BatchPolicy`).  A batch starts
+            whenever fewer than ``max(1, n_workers)`` fan-out batches
+            are in flight: each takes one worker in every shard.
         cache_capacity: LRU entries of merged answers; ``0`` disables
             the cache.
         heartbeat_timeout / index_loader: as for
@@ -214,7 +216,7 @@ class ShardedIndexServer(_ServingPipeline):
             for pool in pools:
                 pool.close()
             raise
-        self._start(_ShardFanout(backends, shard_ids), pools)
+        self._start(_ShardFanout(backends, shard_ids), pools, n_workers)
 
     # -- introspection -------------------------------------------------
 

@@ -35,9 +35,8 @@ ALL_INDEXES = [
     ProjectionScreenedIndex,
 ]
 
-# A small max_batch forces multiple flushes per stream; the short
-# deadline keeps partial batches moving.
-_POLICY = BatchPolicy(max_batch=4, max_wait_ms=1.0)
+# A small max_batch forces multiple flushes per stream.
+_POLICY = BatchPolicy(max_batch=4)
 
 
 def assert_result_matches(got, expected, context):

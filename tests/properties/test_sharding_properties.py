@@ -68,7 +68,7 @@ _KINDS = {
 }
 
 # A small max_batch forces multiple member flushes per stream.
-_POLICY = BatchPolicy(max_batch=4, max_wait_ms=1.0)
+_POLICY = BatchPolicy(max_batch=4)
 
 
 def _tie_heavy_corpus(rng):

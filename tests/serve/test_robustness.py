@@ -29,7 +29,7 @@ from repro.serve import (
 )
 from repro.serve.server import _DeadlineReaper
 
-_FAST = BatchPolicy(max_batch=4, max_wait_ms=1.0)
+_FAST = BatchPolicy(max_batch=4)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +64,31 @@ def collect(futures, timeout=60.0):
             results.append(None)
             errors.append(error)
     return results, errors
+
+
+def wait_for(predicate, timeout=5.0):
+    deadline = time.perf_counter() + timeout
+    while time.perf_counter() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.005)
+    return predicate()
+
+
+def submit_behind_busy_worker(server, busy_query, members):
+    """Start one batch on the worker, then queue ``members`` behind it.
+
+    ``members`` are ``(query, deadline_ms)`` pairs; they wait in the
+    batcher while the worker holds the first batch, so they leave
+    together as its next batch.  Returns the futures, first batch first.
+    """
+    futures = [server.submit(busy_query, k=2)]
+    assert wait_for(lambda: server._batcher.n_pending == 0)
+    futures += [
+        server.submit(query, k=2, deadline_ms=deadline_ms)
+        for query, deadline_ms in members
+    ]
+    return futures
 
 
 def assert_delivered_match(index, queries, ks, results):
@@ -136,8 +161,7 @@ class TestOverload:
         # *admitted* request is still answered exactly.
         loader = FaultyLoader(FaultPlan(delay_all=0.05))
         policy = BatchPolicy(
-            max_batch=4, max_wait_ms=1.0, max_pending=4,
-            shed_policy="reject-new",
+            max_batch=4, max_pending=4, shed_policy="reject-new"
         )
         queries = rng.normal(size=(40, 4))
         admitted, shed = [], 0
@@ -166,8 +190,7 @@ class TestOverload:
         # freshest traffic is served.
         loader = FaultyLoader(FaultPlan(delay_all=0.05))
         policy = BatchPolicy(
-            max_batch=4, max_wait_ms=1.0, max_pending=4,
-            shed_policy="drop-oldest",
+            max_batch=4, max_pending=4, shed_policy="drop-oldest"
         )
         queries = rng.normal(size=(40, 4))
         with IndexServer(
@@ -183,21 +206,65 @@ class TestOverload:
         assert sum(r is not None for r in results) == report.n_requests
         assert_delivered_match(index, queries, [1] * 40, results)
 
+    @pytest.mark.parametrize("shed_policy", ["reject-new", "drop-oldest"])
+    def test_pooled_admission_bounds_the_backlog(
+        self, index, snapshot, rng, shed_policy
+    ):
+        # A stream faster than the one worker: the requests that cannot
+        # run yet must wait in the batcher, where max_pending bounds
+        # them, instead of in the pool's unbounded queue.  The backlog
+        # of admitted, unanswered requests stays within the queue bound
+        # plus the batch on the worker and the one being delivered; the
+        # overflow is shed, and the worker gets full batches.
+        loader = FaultyLoader(FaultPlan(delay_all=0.05))
+        policy = BatchPolicy(
+            max_batch=4, max_pending=4, shed_policy=shed_policy
+        )
+        queries = rng.normal(size=(40, 4))
+        admitted, backlog, rejected = [], [], 0
+        with IndexServer(
+            snapshot, n_workers=1, policy=policy, index_loader=loader
+        ) as server:
+            for q in queries:
+                try:
+                    admitted.append((q, server.submit(q, k=1)))
+                except ServerOverloaded:
+                    rejected += 1
+                backlog.append(sum(not f.done() for _, f in admitted))
+                time.sleep(0.002)
+            results, errors = collect([f for _, f in admitted])
+            report = server.stats()
+        assert all(isinstance(e, ServerOverloaded) for e in errors)
+        shed = rejected + len(errors)
+        assert shed > 0
+        assert max(backlog) <= policy.max_pending + 2 * policy.max_batch
+        assert max(report.batch_size_histogram) == policy.max_batch
+        assert report.n_shed == shed
+        assert report.n_requests + report.n_shed == 40
+        assert_delivered_match(
+            index, [q for q, _ in admitted], [1] * len(admitted), results
+        )
+
 
 class TestDeadlines:
-    def test_deadline_shorter_than_flush_wait(self, snapshot):
-        # The flush wait is an hour; the request deadline is 20 ms.  The
-        # future must fail fast with DeadlineExceeded instead of waiting
-        # for a batch that will never fill.
-        policy = BatchPolicy(max_batch=1_000, max_wait_ms=3_600_000.0)
-        with IndexServer(snapshot, n_workers=0, policy=policy) as server:
+    def test_deadline_shorter_than_flush_wait(self, snapshot, busy_loader):
+        # The backend stays busy until released; the request deadline is
+        # 20 ms.  The future must fail fast with DeadlineExceeded instead
+        # of waiting for a flush that cannot start.
+        loader = busy_loader()
+        with IndexServer(
+            snapshot, n_workers=0, policy=_FAST, index_loader=loader
+        ) as server:
+            busy = loader.occupy(server)
             started = time.perf_counter()
-            future = server.submit(np.zeros(4), k=1, deadline_ms=20)
+            future = server.submit(np.ones(4), k=1, deadline_ms=20)
             with pytest.raises(DeadlineExceeded):
                 future.result(timeout=30)
             elapsed = time.perf_counter() - started
             report = server.stats()
-        assert elapsed < 10.0
+            loader.release()
+            busy.result(timeout=30)
+        assert elapsed < 5.0
         assert report.n_deadline_exceeded == 1
         assert report.n_requests == 0
 
@@ -205,26 +272,32 @@ class TestDeadlines:
         self, index, snapshot, rng
     ):
         # One coalesced batch, two members: one deadline-less, one with
-        # a 100 ms deadline, executing on a worker that takes ~1.5 s.
+        # a 600 ms deadline, executing on a worker that takes ~2 s.
         # No pool-side batch deadline can exist (the deadline-less
         # neighbor still needs the answer), so the reaper must release
         # the deadlined caller at ~its own deadline rather than at
         # delivery — and the neighbor must still get the exact answer.
-        loader = FaultyLoader(FaultPlan(delay_all=1.5))
-        policy = BatchPolicy(max_batch=2, max_wait_ms=10_000.0)
-        q_free, q_bound = rng.normal(size=(2, 4))
+        # A warm-up batch loads the worker; a 0.2 s batch then keeps it
+        # busy while the two members queue behind it.
+        loader = FaultyLoader(FaultPlan(delay_on=((2, 0.2), (3, 2.0))))
+        policy = BatchPolicy(max_batch=2)
+        q_warm, q_busy, q_free, q_bound = rng.normal(size=(4, 4))
         with IndexServer(
             snapshot, n_workers=1, policy=policy, index_loader=loader
         ) as server:
-            free = server.submit(q_free, k=2)
+            server.query(q_warm, k=2)
             started = time.perf_counter()
-            bound = server.submit(q_bound, k=2, deadline_ms=100)
+            busy, free, bound = submit_behind_busy_worker(
+                server, q_busy, [(q_free, None), (q_bound, 600)]
+            )
             with pytest.raises(DeadlineExceeded):
                 bound.result(timeout=30)
             waited = time.perf_counter() - started
             answer = free.result(timeout=30)
+            busy.result(timeout=30)
             report = server.stats()
-        assert waited < 1.0  # released at the deadline, not at delivery
+        assert waited < 1.5  # released at the deadline, not at delivery
+        assert report.batch_size_histogram == {1: 2, 2: 1}
         expected = index.query(q_free, k=2)
         assert tuple(answer.indices.tolist()) == tuple(
             expected.indices.tolist()
@@ -233,7 +306,7 @@ class TestDeadlines:
             expected.distances.tolist()
         )
         assert report.n_deadline_exceeded == 1
-        assert report.n_requests == 1
+        assert report.n_requests == 3
 
     def test_deadlined_caller_released_while_in_process_batch_runs(
         self, snapshot, rng
@@ -252,14 +325,20 @@ class TestDeadlines:
             waited = time.perf_counter() - started
         assert waited < 1.0
 
-    def test_default_deadline_applies_to_every_request(self, snapshot):
-        policy = BatchPolicy(max_batch=1_000, max_wait_ms=3_600_000.0)
+    def test_default_deadline_applies_to_every_request(
+        self, snapshot, busy_loader
+    ):
+        loader = busy_loader()
         with IndexServer(
-            snapshot, n_workers=0, policy=policy, default_deadline_ms=20
+            snapshot, n_workers=0, policy=_FAST, default_deadline_ms=20,
+            index_loader=loader,
         ) as server:
+            busy = loader.occupy(server)
             with pytest.raises(DeadlineExceeded):
-                server.query(np.zeros(4), k=1)
+                server.query(np.ones(4), k=1)
             report = server.stats()
+            loader.release()
+            busy.result(timeout=30)
         assert report.n_deadline_exceeded == 1
 
     @pytest.mark.parametrize("n_workers", [0, 1])
@@ -290,35 +369,38 @@ class TestDeadlines:
         self, index, snapshot, rng
     ):
         # Hundreds of resolved 60 s watches compact the reaper's heap
-        # several times before a 100 ms watch rides a batch slowed to
-        # 1.5 s; the reaper must still release it at its own deadline,
+        # several times before a 600 ms watch rides a batch slowed to
+        # 2 s; the reaper must still release it at its own deadline,
         # and its deadline-free neighbour must get the exact answer.
+        # Each warm request is answered before the next is sent, so each
+        # is one batch; a 0.2 s batch then keeps the worker busy while
+        # the two members queue behind it.
         warm = rng.normal(size=(300, 4))
-        n_warm_batches = len(warm) // 2
-        loader = FaultyLoader(
-            FaultPlan(delay_on=((n_warm_batches + 1, 1.5),))
-        )
-        policy = BatchPolicy(max_batch=2, max_wait_ms=10_000.0)
-        q_free, q_bound = rng.normal(size=(2, 4))
+        n_warm_batches = len(warm)
+        loader = FaultyLoader(FaultPlan(delay_on=(
+            (n_warm_batches + 1, 0.2), (n_warm_batches + 2, 2.0),
+        )))
+        policy = BatchPolicy(max_batch=2)
+        q_busy, q_free, q_bound = rng.normal(size=(3, 4))
         with IndexServer(
             snapshot, n_workers=1, policy=policy, index_loader=loader
         ) as server:
-            for first, second in zip(warm[::2], warm[1::2]):
-                pair = [
-                    server.submit(q, k=2, deadline_ms=60_000)
-                    for q in (first, second)
-                ]
-                for future in pair:
-                    future.result(timeout=30)
-            free = server.submit(q_free, k=2)
+            for query in warm:
+                server.submit(query, k=2, deadline_ms=60_000).result(
+                    timeout=30
+                )
             started = time.perf_counter()
-            bound = server.submit(q_bound, k=2, deadline_ms=100)
+            busy, free, bound = submit_behind_busy_worker(
+                server, q_busy, [(q_free, None), (q_bound, 600)]
+            )
             with pytest.raises(DeadlineExceeded):
                 bound.result(timeout=30)
             waited = time.perf_counter() - started
             answer = free.result(timeout=30)
+            busy.result(timeout=30)
             report = server.stats()
-        assert waited < 1.0  # released at the deadline, not at delivery
+        assert waited < 1.5  # released at the deadline, not at delivery
+        assert report.batch_size_histogram == {1: n_warm_batches + 1, 2: 1}
         expected = index.query(q_free, k=2)
         assert tuple(answer.indices.tolist()) == tuple(
             expected.indices.tolist()
@@ -327,7 +409,7 @@ class TestDeadlines:
             expected.distances.tolist()
         )
         assert report.n_deadline_exceeded == 1
-        assert report.n_requests == len(warm) + 1
+        assert report.n_requests == len(warm) + 2
 
     def test_compaction_keeps_watches_still_pending(self):
         # Four threads answer 60 s watches, each forgotten at once, so

@@ -1,6 +1,7 @@
 """IndexServer: bit-identity, caching, validation, stats, lifecycle."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from repro.serve import (
     ServerClosedError,
 )
 
-_FAST = BatchPolicy(max_batch=8, max_wait_ms=1.0)
-# Holds submitted requests in the batcher until close() flushes them,
-# so coalescing/cancellation tests control exactly when work runs.
-_HOLD = BatchPolicy(max_batch=10_000, max_wait_ms=3_600_000.0)
+_FAST = BatchPolicy(max_batch=8)
+# Coalescing and cancellation tests hold requests in the batcher by
+# keeping the in-process backend busy (the ``busy_loader`` fixture), so
+# they control exactly when queued work runs.
+_HOLD = BatchPolicy(max_batch=10_000)
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +38,15 @@ def snapshot(index, tmp_path_factory):
     path = tmp_path_factory.mktemp("server") / "bruteforce.npz"
     index.save(str(path))
     return str(path)
+
+
+def wait_for(predicate, timeout=5.0):
+    deadline = time.perf_counter() + timeout
+    while time.perf_counter() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.005)
+    return predicate()
 
 
 def assert_result_matches(got, expected):
@@ -150,32 +161,39 @@ class TestCache:
 
 class TestCacheStampede:
     def test_identical_misses_coalesce_to_one_batch_row(
-        self, index, snapshot, rng
+        self, index, snapshot, rng, busy_loader
     ):
         # Regression: concurrent identical misses used to each enqueue
         # their own batch row (a cache stampede).  The second submission
         # must follow the first's in-flight future instead.
         query = rng.normal(size=4)
+        loader = busy_loader()
         with IndexServer(
-            snapshot, n_workers=0, policy=_HOLD, cache_capacity=8
+            snapshot, n_workers=0, policy=_HOLD, cache_capacity=8,
+            index_loader=loader,
         ) as server:
+            busy = loader.occupy(server)
             leader = server.submit(query, k=3)
             follower = server.submit(query, k=3)
             assert not leader.done() and not follower.done()
-            server.close()  # flushes the single pending batch row
+            loader.release()
+            server.close()  # the single pending batch row is flushed
             expected = index.query(query, k=3)
             assert_result_matches(leader.result(timeout=30), expected)
             assert_result_matches(follower.result(timeout=30), expected)
+            busy.result(timeout=30)
             report = server.stats()
-        assert report.n_requests == 2
+        assert report.n_requests == 3
+        # One row for the batch that kept the backend busy, one for the
+        # leader and its follower.
         assert sum(
             size * count
             for size, count in report.batch_size_histogram.items()
-        ) == 1
+        ) == 2
 
     def test_two_thread_stampede_flushes_once(self, index, snapshot, rng):
         query = rng.normal(size=4)
-        policy = BatchPolicy(max_batch=64, max_wait_ms=40.0)
+        policy = BatchPolicy(max_batch=64)
         results = [None, None]
         barrier = threading.Barrier(2)
         with IndexServer(
@@ -206,17 +224,22 @@ class TestCacheStampede:
         assert_result_matches(results[0], expected)
         assert_result_matches(results[1], expected)
 
-    def test_follower_mirrors_leader_failure(self, snapshot, rng):
+    def test_follower_mirrors_leader_failure(
+        self, snapshot, rng, busy_loader
+    ):
         # A failed leader must fail its followers with the same typed
-        # error — never hang them, never cache the failure.
-        loader = FaultyLoader(FaultPlan(raise_on=(1,)))
+        # error — never hang them, never cache the failure.  Batch 1
+        # keeps the backend busy; the leader's batch 2 raises.
+        loader = busy_loader(FaultyLoader(FaultPlan(raise_on=(2,))))
         query = rng.normal(size=4)
         with IndexServer(
             snapshot, n_workers=0, policy=_HOLD, cache_capacity=8,
             index_loader=loader,
         ) as server:
+            loader.occupy(server)
             leader = server.submit(query, k=2)
             follower = server.submit(query, k=2)
+            loader.release()
             server.close()
             with pytest.raises(InjectedFault):
                 leader.result(timeout=30)
@@ -307,22 +330,29 @@ class TestStats:
         assert report.query_stats.points_scanned == 20 * 100
         assert report.throughput_qps > 0
 
-    def test_cancelled_requests_balance_the_ledger(self, snapshot, rng):
+    def test_cancelled_requests_balance_the_ledger(
+        self, snapshot, rng, busy_loader
+    ):
         # Regression: _finish_request used to return early on cancelled
         # futures without counting them, so submissions silently vanished
         # from the report and the ledger stopped balancing.
         queries = rng.normal(size=(6, 4))
-        with IndexServer(snapshot, n_workers=0, policy=_HOLD) as server:
-            futures = [server.submit(q, k=1) for q in queries]
-            assert futures[0].cancel()
-            assert futures[3].cancel()
+        loader = busy_loader()
+        with IndexServer(
+            snapshot, n_workers=0, policy=_HOLD, index_loader=loader
+        ) as server:
+            futures = [loader.occupy(server)]
+            futures += [server.submit(q, k=1) for q in queries]
+            assert futures[1].cancel()
+            assert futures[4].cancel()
+            loader.release()
             server.close()  # flushes the survivors
             for n, future in enumerate(futures):
-                if n not in (0, 3):
+                if n not in (1, 4):
                     future.result(timeout=30)
             report = server.stats()
         assert report.n_cancelled == 2
-        assert report.n_requests == 4
+        assert report.n_requests == 5
         accounted = (
             report.n_requests
             + report.n_failed
@@ -366,3 +396,25 @@ class TestLifecycle:
         server = IndexServer(snapshot, n_workers=0)
         server.close()
         server.close()
+
+    def test_close_flushes_requests_queued_behind_a_busy_worker(
+        self, index, snapshot, rng
+    ):
+        # The only worker is busy, so the later requests wait in the
+        # batcher; close() still flushes them and drains the pool.
+        loader = FaultyLoader(FaultPlan(delay_on=((1, 0.3),)))
+        queries = rng.normal(size=(4, 4))
+        with IndexServer(
+            snapshot, n_workers=1, policy=_FAST, index_loader=loader
+        ) as server:
+            batcher = server._batcher
+            futures = [server.submit(queries[0], k=2)]
+            assert wait_for(lambda: batcher.n_pending == 0)
+            futures += [server.submit(q, k=2) for q in queries[1:]]
+            assert batcher.n_pending == 3
+            server.close()
+            assert batcher.n_pending == 0
+        for query, future in zip(queries, futures):
+            assert_result_matches(
+                future.result(timeout=30), index.query(query, k=2)
+            )

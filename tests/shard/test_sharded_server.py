@@ -21,10 +21,11 @@ from repro.serve import (
 )
 from repro.shard import ShardedIndexServer, build_shards
 
-# Holds submitted requests in the batcher indefinitely, so
-# admission/deadline/cancellation tests control exactly when work runs.
-_HOLD = BatchPolicy(max_batch=10_000, max_wait_ms=3_600_000.0)
-_FAST = BatchPolicy(max_batch=8, max_wait_ms=1.0)
+# Admission/deadline/cancellation tests hold requests in the batcher by
+# keeping the in-process shards busy (the ``busy_loader`` fixture), so
+# they control exactly when queued work runs.
+_HOLD = BatchPolicy(max_batch=10_000)
+_FAST = BatchPolicy(max_batch=8)
 
 
 @pytest.fixture(scope="module")
@@ -127,22 +128,32 @@ class TestPartialFailurePolicy:
 
 
 class TestDeadlines:
-    def test_deadline_releases_future(self, corpus, manifest):
-        with ShardedIndexServer(manifest, n_workers=0, policy=_HOLD) as server:
+    def test_deadline_releases_future(self, corpus, manifest, busy_loader):
+        loader = busy_loader()
+        with ShardedIndexServer(
+            manifest, n_workers=0, policy=_HOLD, index_loader=loader
+        ) as server:
+            busy = loader.occupy(server)
             future = server.submit(corpus[0], k=2, deadline_ms=30.0)
             with pytest.raises(DeadlineExceeded):
                 future.result(timeout=30)
             report = server.stats()
             assert report.n_deadline_exceeded == 1
+            loader.release()
+            busy.result(timeout=30)
         assert server.stats().n_deadline_exceeded == 1
 
-    def test_default_deadline_applies(self, corpus, manifest):
+    def test_default_deadline_applies(self, corpus, manifest, busy_loader):
+        loader = busy_loader()
         with ShardedIndexServer(
-            manifest, n_workers=0, policy=_HOLD, default_deadline_ms=25.0
+            manifest, n_workers=0, policy=_HOLD, default_deadline_ms=25.0,
+            index_loader=loader,
         ) as server:
+            loader.occupy(server)
             future = server.submit(corpus[0], k=2)
             with pytest.raises(DeadlineExceeded):
                 future.result(timeout=30)
+            loader.release()
 
     def test_rejects_non_positive_deadline(self, corpus, manifest):
         with ShardedIndexServer(manifest, n_workers=0) as server:
@@ -196,11 +207,15 @@ class TestDeadlines:
 
 
 class TestCoordinatorAdmission:
-    def test_reject_new_sheds_synchronously(self, corpus, manifest):
-        policy = BatchPolicy(
-            max_batch=10_000, max_wait_ms=3_600_000.0, max_pending=2
-        )
-        with ShardedIndexServer(manifest, n_workers=0, policy=policy) as server:
+    def test_reject_new_sheds_synchronously(
+        self, corpus, manifest, busy_loader
+    ):
+        policy = BatchPolicy(max_batch=10_000, max_pending=2)
+        loader = busy_loader()
+        with ShardedIndexServer(
+            manifest, n_workers=0, policy=policy, index_loader=loader
+        ) as server:
+            loader.occupy(server)
             held = [server.submit(corpus[i], k=1) for i in range(2)]
             with pytest.raises(ServerOverloaded):
                 server.submit(corpus[5], k=1)
@@ -209,15 +224,19 @@ class TestCoordinatorAdmission:
             assert server.n_pending == 2
             for future in held:
                 assert not future.done()
+            loader.release()
 
-    def test_drop_oldest_fails_oldest_outstanding(self, corpus, manifest):
+    def test_drop_oldest_fails_oldest_outstanding(
+        self, corpus, manifest, busy_loader
+    ):
         policy = BatchPolicy(
-            max_batch=10_000,
-            max_wait_ms=3_600_000.0,
-            max_pending=2,
-            shed_policy="drop-oldest",
+            max_batch=10_000, max_pending=2, shed_policy="drop-oldest"
         )
-        with ShardedIndexServer(manifest, n_workers=0, policy=policy) as server:
+        loader = busy_loader()
+        with ShardedIndexServer(
+            manifest, n_workers=0, policy=policy, index_loader=loader
+        ) as server:
+            loader.occupy(server)
             oldest = server.submit(corpus[0], k=1)
             second = server.submit(corpus[1], k=1)
             newest = server.submit(corpus[2], k=1)
@@ -226,6 +245,7 @@ class TestCoordinatorAdmission:
             assert not second.done()
             assert not newest.done()
             assert server.stats().n_shed == 1
+            loader.release()
 
     def test_rejects_bad_admission_config(self, manifest):
         # Admission is configured on the policy, as for IndexServer; the
@@ -242,16 +262,19 @@ class TestCoordinatorAdmission:
 
 
 class TestLedger:
-    def test_every_submission_accounted_once(self, corpus, manifest):
+    def test_every_submission_accounted_once(
+        self, corpus, manifest, busy_loader
+    ):
         # Mix outcomes: answered, cancelled, shed (drop-oldest), and
         # closed-server failures — the ledger must balance exactly.
         policy = BatchPolicy(
-            max_batch=10_000,
-            max_wait_ms=3_600_000.0,
-            max_pending=8,
-            shed_policy="drop-oldest",
+            max_batch=10_000, max_pending=8, shed_policy="drop-oldest"
         )
-        with ShardedIndexServer(manifest, n_workers=0, policy=policy) as server:
+        loader = busy_loader()
+        with ShardedIndexServer(
+            manifest, n_workers=0, policy=policy, index_loader=loader
+        ) as server:
+            busy = loader.occupy(server)
             futures = [server.submit(corpus[i], k=1) for i in range(8)]
             assert futures[1].cancel()
             assert futures[2].cancel()
@@ -260,6 +283,8 @@ class TestLedger:
             # live ones are shed, and the two cancelled ones leave
             # without being counted twice.
             futures += [server.submit(corpus[i], k=1) for i in (8, 9, 10, 11)]
+            futures.append(busy)
+            loader.release()
             server.close()
             report = server.stats()
         submitted = len(futures)
@@ -286,9 +311,17 @@ class TestLedger:
 
 
 class TestLifecycle:
-    def test_close_fails_outstanding_and_is_idempotent(self, corpus, manifest):
-        server = ShardedIndexServer(manifest, n_workers=0, policy=_HOLD)
+    def test_close_fails_outstanding_and_is_idempotent(
+        self, corpus, manifest, busy_loader
+    ):
+        loader = busy_loader()
+        server = ShardedIndexServer(
+            manifest, n_workers=0, policy=_HOLD, index_loader=loader
+        )
+        loader.occupy(server)
         future = server.submit(corpus[0], k=1)
+        assert not future.done()
+        loader.release()
         server.close()
         server.close()
         assert future.done()
