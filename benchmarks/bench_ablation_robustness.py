@@ -252,7 +252,7 @@ def test_ablation_robustness(benchmark, capsys):
         )
     # Scenario-specific recovery evidence.
     assert by_name["baseline"]["n_ok"] == _N_QUERIES
-    assert by_name["hung_worker"]["n_hung_kills"] >= 1
+    assert by_name["hung_worker"]["n_hung_kills"] == 1
     assert by_name["hung_worker"]["n_ok"] == _N_QUERIES
     assert by_name["crash_worker"]["n_restarts"] >= 1
     assert by_name["crash_worker"]["n_ok"] == _N_QUERIES

@@ -21,12 +21,10 @@ from repro.dynamic.moments import IncrementalMoments
 from repro.dynamic.incremental_pca import IncrementalPCA
 from repro.dynamic.drift import DriftMonitor
 from repro.dynamic.reducer import DynamicReducer
-from repro.dynamic.pipeline import DynamicSimilarityPipeline
 
 __all__ = [
     "DriftMonitor",
     "DynamicReducer",
-    "DynamicSimilarityPipeline",
     "IncrementalMoments",
     "IncrementalPCA",
 ]

@@ -52,7 +52,7 @@ class StudentizeResult:
         means: per-column means of the *original* matrix (all columns).
         scales: per-column standard deviations of the retained columns.
         kept_columns: indices (into the original matrix) of the columns
-            that survived; zero-variance columns are dropped.
+            that survived; constant columns are dropped.
     """
 
     features: np.ndarray
@@ -76,13 +76,16 @@ class StudentizeResult:
 def studentize(data, ddof: int = 0) -> StudentizeResult:
     """Center every column and scale it to unit variance.
 
-    Zero-variance columns are dropped (they cannot be scaled and carry no
+    Constant columns are dropped (they cannot be scaled and carry no
     information).  Raises if *every* column is constant.
     """
     array = _validate_matrix(data, min_rows=2)
     means = np.mean(array, axis=0)
     stds = np.std(array, axis=0, ddof=ddof)
-    kept = np.flatnonzero(stds > 0.0)
+    # A column whose values are all equal is constant even when its mean
+    # rounds (three copies of 86.1 have a std of 1.4e-14); scaling
+    # by that noise would map any other value of the column to ~1e14.
+    kept = np.flatnonzero((np.ptp(array, axis=0) > 0.0) & (stds > 0.0))
     if kept.size == 0:
         raise ValueError("all columns are constant; nothing to studentize")
     features = (array[:, kept] - means[kept]) / stds[kept]

@@ -1,15 +1,16 @@
 """Index substrate.
 
-Exact k-nearest-neighbor indexes with pruning instrumentation: a linear
-scan baseline, a kd-tree and an STR-bulk-loaded R-tree (both with
-branch-and-bound / best-first search in the style of Roussopoulos et al.
-and Hjaltason & Samet), and a VA-file.  The per-query statistics
-(node accesses, points scanned, partitions pruned) substantiate the
-paper's Section 1.1 argument: in high dimensionality the optimistic
-bounds stop pruning, and aggressive dimensionality reduction restores
-index effectiveness.
+k-nearest-neighbor indexes with pruning instrumentation, nine kinds:
+brute force, a kd-tree and an STR-bulk-loaded R-tree (branch-and-bound
+/ best-first search after Roussopoulos et al. and Hjaltason & Samet), a
+VA-file, the pyramid technique, iDistance, projection-screened search,
+approximate E2LSH and the grid-similarity IGrid of the paper's ref [3].
+The per-query statistics (node accesses, points scanned, partitions
+pruned) substantiate the paper's Section 1.1 argument: in high
+dimensionality the optimistic bounds stop pruning, and aggressive
+dimensionality reduction restores index effectiveness.
 
-Every static index also persists to a single-file snapshot
+Every kind also persists to a single-file snapshot
 (:func:`save_index` / :func:`load_index`): structures are stored as flat
 arrays, so a loaded index is query-ready with zero rebuilding and
 answers bit-identically to the freshly built original.
@@ -47,7 +48,6 @@ from repro.search.results import (
     combine_stats,
 )
 from repro.search.bruteforce import BruteForceIndex
-from repro.search.dynamic_rtree import DynamicRTree
 from repro.search.idistance import IDistanceIndex
 from repro.search.igrid import IGridIndex, igrid_discretization
 from repro.search.kdtree import KdTreeIndex
@@ -67,7 +67,6 @@ __all__ = [
     "BruteForceIndex",
     "build_index",
     "combine_stats",
-    "DynamicRTree",
     "EXACT_KINDS",
     "ExactnessViolation",
     "fit_projection",

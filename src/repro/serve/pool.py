@@ -135,11 +135,13 @@ class _Slot:
     physically holds, which is what routing and hang detection must see
     even after the callers gave up.  ``quiet_since`` is the start of the
     worker's current silence: reset by every response, and by a dispatch
-    that moves the slot from idle to busy.
+    that moves the slot from idle to busy.  ``killed`` is set with the
+    heartbeat's SIGKILL, which lands asynchronously: until the slot is
+    replaced, its still-alive worker must not be killed and counted again.
     """
 
     __slots__ = ("process", "requests", "responses", "assigned",
-                 "dispatched", "quiet_since", "fatal")
+                 "dispatched", "quiet_since", "fatal", "killed")
 
     def __init__(self, process, requests, responses) -> None:
         self.process = process
@@ -149,6 +151,7 @@ class _Slot:
         self.dispatched: set[int] = set()
         self.quiet_since = time.perf_counter()
         self.fatal = False
+        self.killed = False
 
 
 class _Inflight:
@@ -440,7 +443,7 @@ class WorkerPool:
                         slot.assigned.discard(batch_id)
             if self.heartbeat_timeout is not None:
                 for slot in self._slots:
-                    if slot.fatal or not slot.process.is_alive():
+                    if slot.fatal or slot.killed or not slot.process.is_alive():
                         continue
                     if (
                         slot.dispatched
@@ -458,6 +461,7 @@ class WorkerPool:
             # SIGKILL, not SIGTERM: a hung worker may be unresponsive to
             # polite signals.  The dead-worker path below then drains
             # its completed answers, restarts the slot, and resubmits.
+            slot.killed = True
             self._hung_kills += 1
             slot.process.kill()
 

@@ -171,11 +171,13 @@ class MutableShardedServer(_ServingPipeline):
 
     def insert(self, vector) -> int:
         """Insert one row; the coordinator allocates its global id."""
+        # Allocate, store, then advance, in one lock hold: a member
+        # refuses an id below one it stored, and a refused row uses none.
         with self._lock:
             self._require_open()
             row_id = self._next_row_id
-            self._next_row_id += 1
-        self._members[self.owner_of(row_id)].insert(vector, row_id=row_id)
+            self._members[self.owner_of(row_id)].insert(vector, row_id=row_id)
+            self._next_row_id = row_id + 1
         return row_id
 
     def delete(self, row_id: int) -> None:

@@ -46,6 +46,13 @@ class TestStudentize:
         assert result.features.shape == (30, 2)
         assert list(result.kept_columns) == [0, 2]
 
+    def test_drops_constant_column_whose_std_is_rounding_noise(self):
+        data = np.array([[0.0, 86.1], [0.0, 86.1], [1.0, 86.1]])
+        assert data[:, 1].std() > 0.0  # the mean of three 86.1s rounds
+        result = studentize(data)
+        assert list(result.kept_columns) == [0]
+        assert np.all(np.isfinite(result.apply([[0.0, 90.0]])))
+
     def test_all_constant_raises(self):
         with pytest.raises(ValueError, match="constant"):
             studentize(np.ones((10, 3)))

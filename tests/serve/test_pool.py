@@ -168,7 +168,7 @@ class TestHungWorkerRecovery:
             snapshot, 1, heartbeat_timeout=0.25, index_loader=loader
         ) as pool:
             batch = pool.submit(queries, 2).result(timeout=30)
-            assert pool.n_hung_kills >= 1
+            assert pool.n_hung_kills == 1
             assert pool.n_restarts >= 1
             assert pool.n_resubmitted >= 1
         assert_matches_local(corpus, batch, queries, 2)

@@ -128,6 +128,26 @@ class TestHungWorker:
         assert report.n_resubmitted >= 1
         assert report.n_requests == 12
 
+    def test_one_hang_counts_one_kill(self, index, snapshot, tmp_path, rng):
+        # SIGKILL lands asynchronously: until the killed worker is
+        # replaced, later heartbeat passes may still see it alive and
+        # silent, and must not kill and count it again.
+        loader = FaultyLoader(
+            FaultPlan(hang_on=(1,)), marker_path=str(tmp_path / "claim")
+        )
+        queries = rng.normal(size=(24, 4))
+        with IndexServer(
+            snapshot, n_workers=1, policy=_FAST, heartbeat_timeout=0.25,
+            index_loader=loader,
+        ) as server:
+            futures = [server.submit(q, k=3) for q in queries]
+            results, errors = collect(futures)
+            report = server.stats()
+        assert errors == []
+        assert_delivered_match(index, queries, [3] * 24, results)
+        assert report.n_hung_kills == 1
+        assert report.n_restarts == 1
+
 
 class TestCrashedWorker:
     def test_crash_under_deadline_still_answers(

@@ -12,6 +12,7 @@ compaction, and restart-resume with id continuation.
 
 import multiprocessing
 import os
+import sys
 import threading
 import time
 
@@ -162,6 +163,96 @@ class TestRoutingRules:
             assert server.members[1].n_live == 9
             with pytest.raises(KeyError):
                 server.delete(7)
+
+    def test_concurrent_inserts_reach_their_shard_in_id_order(
+        self, tmp_path, data
+    ):
+        # A member refuses an id below one it already stored.  The
+        # insert that gets id 30 (shard 0) is slow to store its row;
+        # the insert that gets 32 (shard 0 again) must not overtake it.
+        corpus, probes, rng = data
+        rows = rng.standard_normal((3, 4))
+        live = {gid: corpus[gid] for gid in range(30)}
+        errors = []
+        with MutableShardedServer(
+            os.path.join(tmp_path, "race"), corpus, n_shards=2
+        ) as server:
+            member = server.members[0]
+            stored = member.insert
+            reached = threading.Event()
+
+            def slow_insert(vector, *, row_id=None):
+                if row_id == 30:
+                    reached.set()
+                    time.sleep(0.3)
+                return stored(vector, row_id=row_id)
+
+            member.insert = slow_insert
+
+            def insert_first():
+                try:
+                    server.insert(rows[0])
+                except MutationError as error:
+                    errors.append(error)
+
+            first = threading.Thread(target=insert_first)
+            first.start()
+            assert reached.wait(5)
+            assert server.insert(rows[1]) == 31
+            assert server.insert(rows[2]) == 32
+            first.join(5)
+            assert not first.is_alive()
+            assert errors == []
+            live.update({30: rows[0], 31: rows[1], 32: rows[2]})
+            _assert_matches_fresh(server, live, probes)
+
+    def test_concurrent_insert_stress(self, tmp_path, data):
+        # Four inserting threads, switching every microsecond: no insert
+        # is refused, ids stay dense, and every row is served under the
+        # id its insert returned.
+        corpus, probes, _ = data
+        live = {gid: corpus[gid] for gid in range(30)}
+        refused = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with MutableShardedServer(
+                os.path.join(tmp_path, "stress"), corpus, n_shards=2,
+                wal_sync="off",
+            ) as server:
+
+                def insert_rows(seed):
+                    rows = np.random.default_rng(seed).standard_normal((200, 4))
+                    for row in rows:
+                        try:
+                            live[server.insert(row)] = row
+                        except MutationError as error:
+                            refused.append(error)
+
+                threads = [
+                    threading.Thread(target=insert_rows, args=(seed,))
+                    for seed in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert refused == []
+                assert sorted(live) == list(range(830))
+                _assert_matches_fresh(server, live, probes)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_refused_insert_uses_no_id(self, tmp_path, data):
+        corpus, _, rng = data
+        with MutableShardedServer(
+            os.path.join(tmp_path, "width"), corpus, n_shards=2
+        ) as server:
+            with pytest.raises(ValueError, match="length 4"):
+                server.insert(np.ones(5))
+            assert server.next_row_id == 30
+            assert server.insert(rng.standard_normal(4)) == 30
 
     def test_more_shards_than_rows_refused(self, tmp_path):
         with pytest.raises(MutationError, match="seed row"):
